@@ -294,7 +294,9 @@ TEST(ParSim, WindowsWithoutCrossShardSendsSkipCommitRendezvous) {
   engine.set_lookahead(50);
   engine.set_worker_threads(2);
 
-  int fired = 0;
+  // One counter per shard: the two chains run on different threads within
+  // the same window, so a shared counter would be a data race.
+  int fired[2] = {0, 0};
   struct LocalChain {
     Engine* engine;
     int* fired;
@@ -305,7 +307,7 @@ TEST(ParSim, WindowsWithoutCrossShardSendsSkipCommitRendezvous) {
       }
     }
   };
-  LocalChain chains[2] = {{&engine, &fired}, {&engine, &fired}};
+  LocalChain chains[2] = {{&engine, &fired[0]}, {&engine, &fired[1]}};
   for (std::uint32_t s = 0; s < 2; ++s) {
     Engine::ShardScope scope(engine, s);
     engine.schedule_at(1, [&chains, s] { chains[s].fire(1); });
@@ -317,7 +319,8 @@ TEST(ParSim, WindowsWithoutCrossShardSendsSkipCommitRendezvous) {
     ++expected_per_shard;
     if (at >= 2'000) break;  // last hop fires but schedules no successor
   }
-  EXPECT_EQ(fired, 2 * expected_per_shard);
+  EXPECT_EQ(fired[0], expected_per_shard);
+  EXPECT_EQ(fired[1], expected_per_shard);
   EXPECT_GT(engine.windows_run(), 0);
   EXPECT_EQ(engine.windows_committed(), 0);
 }
@@ -356,6 +359,9 @@ TEST(ParSim, CommitScratchReachesSteadyStateUnderPingPong) {
   engine.set_lookahead(50);
   engine.set_worker_threads(2);
 
+  // One shared counter is race-free here: a single event is in flight, and
+  // each hop crosses shards 53 >= lookahead 50 later, so every increment is
+  // ordered after the previous one by a window commit.
   std::int64_t bounces = 0;
   struct PingPong {
     Engine* engine;
