@@ -2,10 +2,18 @@
 // tagged values, and truncation behaviour.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "cdr/cdr.hpp"
 #include "cdr/value.hpp"
 
 namespace integrade::cdr {
+
+// gtest prints a value parameter into the test's name; print the Value
+// itself rather than a dump of its bytes, which hold heap and stack
+// addresses and so differ from one build to the next.
+void PrintTo(const Value& value, std::ostream* os) { *os << value.to_string(); }
+
 namespace {
 
 class CdrBothOrders : public ::testing::TestWithParam<ByteOrder> {};

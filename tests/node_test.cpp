@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "node/machine.hpp"
 #include "node/owner.hpp"
@@ -9,6 +10,13 @@
 #include "sim/engine.hpp"
 
 namespace integrade::node {
+
+// gtest prints a value parameter into the test's name; print the profile's
+// name rather than a dump of its bytes.
+void PrintTo(const WeeklyProfile& profile, std::ostream* os) {
+  *os << profile.name;
+}
+
 namespace {
 
 TEST(TimeHelpers, DayAndSlotIndexing) {
@@ -78,19 +86,18 @@ TEST(Profiles, ServerVsIdleExtremes) {
 }
 
 // The Markov generator must reproduce the profile's stationary presence.
-class OwnerStationarity
-    : public ::testing::TestWithParam<WeeklyProfile (*)()> {};
+class OwnerStationarity : public ::testing::TestWithParam<WeeklyProfile> {};
 
 INSTANTIATE_TEST_SUITE_P(Profiles, OwnerStationarity,
-                         ::testing::Values(&office_worker_profile,
-                                           &student_lab_profile,
-                                           &nocturnal_profile,
-                                           &mostly_idle_profile));
+                         ::testing::Values(office_worker_profile(),
+                                           student_lab_profile(),
+                                           nocturnal_profile(),
+                                           mostly_idle_profile()));
 
 TEST_P(OwnerStationarity, BusyHourFractionTracksProfile) {
   sim::Engine engine;
   Machine machine(NodeId(1), MachineSpec{});
-  const auto profile = GetParam()();
+  const auto& profile = GetParam();
   OwnerWorkload owner(engine, machine, profile, Rng(99));
   owner.start();
 
