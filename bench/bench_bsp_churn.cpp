@@ -15,15 +15,15 @@
 // (dedup off, compression off, no replicas — every save ships the full
 // image to the cluster manager, every restore pulls it back).
 //
-// Usage: bench_bsp_churn [out.json] [--quick] [--threads N]
+// Usage: bench_bsp_churn [out.json] [--quick]
 //
 // --quick runs the E17 sweep only, on a smaller grid, and exits non-zero
 // unless the E17 gates hold:
 //   * dedup ratio >= 3x on the repository store,
 //   * save-path wire bytes per logical byte reduced >= 5x vs baseline,
 //   * mean restart wall clock under churn better than the baseline's.
-// --threads N runs the sharded simulation kernel (4 shards); for a fixed
-// seed stdout and the JSON are byte-identical at any N — CI diffs them.
+// For a fixed seed stdout and the JSON are byte-identical across runs — CI
+// diffs two runs.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -163,22 +163,11 @@ struct E17Setup {
   Bytes image_bytes = 4 * kMiB;
   double presence = 0.15;
   std::uint64_t seed = 909;
-  std::size_t shards = 0;   // 0 = historical single-queue kernel
-  std::size_t threads = 1;
 };
 
 void run_cell(Cell& cell, const E17Setup& setup) {
-  core::GridOptions grid_options;
-  if (setup.shards > 0) {
-    grid_options.sim_shards = setup.shards;
-    grid_options.sim_threads = setup.threads;
-  }
-  core::Grid grid(setup.seed, grid_options);
+  core::Grid grid(setup.seed);
   auto config = churny_cluster(setup.nodes, setup.presence, setup.seed);
-  if (setup.shards > 0) {
-    config = core::reshard_cluster(std::move(config),
-                                   static_cast<int>(setup.shards));
-  }
   config.ckpt.enabled = true;
   config.ckpt.chunking.chunker = cell.chunker;
   config.ckpt.chunking.chunk_size = cell.chunk_kib * 1024;
@@ -242,12 +231,9 @@ void run_cell(Cell& cell, const E17Setup& setup) {
 int main(int argc, char** argv) {
   const char* json_path = "BENCH_bsp_churn.json";
   bool quick = false;
-  std::size_t threads = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::atoi(argv[++i]));
     } else {
       json_path = argv[i];
     }
@@ -265,10 +251,6 @@ int main(int argc, char** argv) {
     setup.nodes = 12;
     setup.supersteps = 30;
     setup.ranks = 6;
-  }
-  if (threads > 0) {
-    setup.shards = 4;  // fixed: every thread count runs the same experiment
-    setup.threads = threads;
   }
 
   std::vector<Cell> cells;

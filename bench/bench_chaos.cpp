@@ -18,15 +18,11 @@
 // attached but every rate zero — and their event traces are compared:
 // attaching the (disabled) injector must not change behaviour at all.
 //
-// Usage: bench_chaos [out.json] [--quick] [--threads N] [--batch]
-//                    [--trace-dump FILE]
+// Usage: bench_chaos [out.json] [--quick] [--batch] [--trace-dump FILE]
 //
-// --threads N runs the sharded simulation kernel: the cluster is reshaped
-// onto 4 LAN segments (one engine shard each) and windows execute on N
-// worker threads. For a fixed seed the run is bit-identical for every N —
-// stdout, JSON, and the --trace-dump file byte-diff clean between
-// --threads 1 and --threads 4 (CI's determinism gate does exactly that).
-// Without the flag the historical single-queue engine runs, byte for byte.
+// For a fixed seed the run is bit-identical: stdout, JSON, and the
+// --trace-dump file byte-diff clean between two runs (CI's determinism gate
+// does exactly that, with and without --batch).
 //
 // Exit code is non-zero if the 2%/min-crash + 5%-loss cell completes < 95%
 // of tasks, sees any duplicate completion, or the no-fault traces differ.
@@ -67,15 +63,10 @@ struct Scenario {
   // reliably kills nodes mid-execution instead of between tasks.
   MInstr work = 300'000.0;
   SimDuration deadline = 40 * kMinute;
-  // Parallel kernel (0 shards = historical single-queue engine). The shard
-  // count is fixed at 4 whenever --threads is given, so every thread count
-  // simulates the identical experiment.
-  std::size_t shards = 0;
-  std::size_t threads = 1;
   // Per-segment heartbeat batching (ClusterConfig::batch_heartbeats). The
-  // scheduler sees the same statuses either way; CI byte-diffs --threads 1
-  // vs --threads 4 with this on, so batching is covered by the same
-  // determinism contract as the kernel itself.
+  // scheduler sees the same statuses either way; CI byte-diffs two runs
+  // with this on, so batching is covered by the same determinism contract
+  // as the plain run.
   bool batch = false;
 };
 
@@ -100,17 +91,8 @@ CellResult run_cell(const Scenario& scenario, double crash_per_node_per_min,
   out.crash_per_node_per_min = crash_per_node_per_min;
   out.loss = loss;
 
-  core::GridOptions grid_options;
-  if (scenario.shards > 0) {
-    grid_options.sim_shards = scenario.shards;
-    grid_options.sim_threads = scenario.threads;
-  }
-  core::Grid grid(seed, grid_options);
+  core::Grid grid(seed);
   auto config = resilient_cluster(scenario.nodes);
-  if (scenario.shards > 0) {
-    config = core::reshard_cluster(std::move(config),
-                                   static_cast<int>(scenario.shards));
-  }
   config.batch_heartbeats = scenario.batch;
   auto& cluster = grid.add_cluster(std::move(config));
 
@@ -248,12 +230,9 @@ int main(int argc, char** argv) {
   const char* trace_dump_path = nullptr;
   bool quick = false;
   bool batch = false;
-  std::size_t threads = 0;  // 0 = flag absent: historical engine
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--batch") == 0) {
       batch = true;
     } else if (std::strcmp(argv[i], "--trace-dump") == 0 && i + 1 < argc) {
@@ -267,10 +246,6 @@ int main(int argc, char** argv) {
   if (quick) {
     scenario.nodes = 40;
     scenario.tasks = 24;
-  }
-  if (threads > 0) {
-    scenario.shards = 4;  // fixed: the experiment must not depend on N
-    scenario.threads = threads;
   }
   scenario.batch = batch;
   const std::uint64_t seed = 11;
@@ -313,7 +288,7 @@ int main(int argc, char** argv) {
 
   if (trace_dump_path != nullptr) {
     // Byte-diffable determinism artifact: the normalised ASCT event log of
-    // every cell, in run order. Identical for every --threads value.
+    // every cell, in run order.
     if (FILE* f = std::fopen(trace_dump_path, "w")) {
       std::fprintf(f, "=== bare ===\n%s", bare.trace.c_str());
       std::fprintf(f, "=== zeroed ===\n%s", zeroed.trace.c_str());

@@ -25,9 +25,8 @@
 // per-tenant slot-seconds integrated over a fixed fair-share window,
 // preemption and migration counters, and an exactly-once completion ledger.
 //
-// Usage: bench_economy [out.json] [--quick] [--threads N]
-// --threads N runs the sharded simulation kernel (cluster resharded onto 4
-// segments); the JSON must be byte-identical for any N — CI diffs N=1 vs 4.
+// Usage: bench_economy [out.json] [--quick]
+// The JSON is byte-identical across runs — CI diffs two runs.
 //
 // Exit code is non-zero unless: the six small tenants' fair-share deviation
 // stays within 5% in the economy cell; the economy deadline hit-rate
@@ -61,8 +60,6 @@ const char* mode_name(Mode mode) {
   }
   return "?";
 }
-
-std::size_t g_threads = 0;  // 0 = flag absent: historical engine
 
 struct Scenario {
   int nodes = 14;
@@ -99,12 +96,7 @@ CellResult run_cell(Mode mode, const Scenario& scenario, std::uint64_t seed) {
   CellResult out;
   out.mode = mode;
 
-  core::GridOptions grid_options;
-  if (g_threads > 0) {
-    grid_options.sim_shards = 4;  // fixed: results must not depend on N
-    grid_options.sim_threads = g_threads;
-  }
-  core::Grid grid(seed, grid_options);
+  core::Grid grid(seed);
 
   auto config = core::quiet_cluster(scenario.nodes, seed, 1000.0, "economy");
   config.ckpt.enabled = true;  // the migration data plane (all cells)
@@ -126,7 +118,6 @@ CellResult run_cell(Mode mode, const Scenario& scenario, std::uint64_t seed) {
     case Mode::kLoadOnly:
       break;  // FIFO queue, default load-aware preference
   }
-  if (g_threads > 0) config = core::reshard_cluster(std::move(config), 4);
   auto& cluster = grid.add_cluster(std::move(config));
 
   grid.run_for(3 * kMinute);  // announcements land
@@ -269,8 +260,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      g_threads = static_cast<std::size_t>(std::atoi(argv[++i]));
     } else {
       json_path = argv[i];
     }

@@ -15,13 +15,8 @@
 // placed on an office desk is still running when its owner arrives at
 // 09:00. Metrics: evictions, wasted (replayed) work, and batch makespan.
 //
-// Usage: bench_forecast_sched [--threads N]
-// --threads N runs the sharded simulation kernel (campus reshaped onto 4
-// segments, one shard each, N worker threads); output is bit-identical for
-// every N. Without the flag the historical single-queue engine runs.
+// Usage: bench_forecast_sched
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "asct/asct.hpp"
 #include "bench_util.hpp"
@@ -39,16 +34,9 @@ struct Outcome {
   double makespan_min = 0;
 };
 
-std::size_t g_threads = 0;  // 0 = flag absent: historical engine
-
 Outcome run(bool use_forecast, const std::string& preference,
             std::uint64_t seed) {
-  core::GridOptions grid_options;
-  if (g_threads > 0) {
-    grid_options.sim_shards = 4;  // fixed: the experiment must not depend on N
-    grid_options.sim_threads = g_threads;
-  }
-  core::Grid grid(seed, grid_options);
+  core::Grid grid(seed);
   core::CampusMix mix;
   mix.office_workers = 30;
   mix.lab_machines = 30;
@@ -58,7 +46,6 @@ Outcome run(bool use_forecast, const std::string& preference,
   auto config = core::campus_cluster(mix, seed);
   config.grm.use_forecast = use_forecast;
   config.grm.default_preference = preference;
-  if (g_threads > 0) config = core::reshard_cluster(std::move(config), 4);
   auto& cluster = grid.add_cluster(std::move(config));
 
   // Two training weeks, then submit at 08:15 Monday of week 3 — 45 min
@@ -92,12 +79,7 @@ Outcome run(bool use_forecast, const std::string& preference,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      g_threads = static_cast<std::size_t>(std::atoi(argv[++i]));
-    }
-  }
+int main() {
   bench::banner("E5", "forecast-aware vs load-only vs random scheduling",
                 "usage patterns let the scheduler avoid nodes about to turn "
                 "busy: fewer evictions, less wasted work, lower makespan");

@@ -14,7 +14,7 @@
 //
 // Determinism: the agent draws no randomness and reads no wall clock; its
 // entire behaviour is a function of the request stream, so traces stay
-// bit-identical at any --threads N. When the data plane is disabled no agent
+// bit-identical across same-seed runs. When the data plane is disabled no agent
 // exists at all — no endpoints, no timers, no wire bytes.
 #pragma once
 

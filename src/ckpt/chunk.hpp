@@ -12,7 +12,7 @@
 //
 // Everything here is a pure function of its inputs: no RNG draws, no clock
 // reads, no global state. That is what lets chunk hashes, manifests, and the
-// resulting wire traffic stay bit-identical at any --threads N.
+// resulting wire traffic stay bit-identical across same-seed runs.
 #pragma once
 
 #include <cstdint>

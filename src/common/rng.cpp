@@ -25,18 +25,6 @@ Rng::Rng(std::uint64_t seed) {
 
 Rng Rng::fork() { return Rng(next_u64()); }
 
-Rng Rng::stream(std::uint64_t stream_id) const {
-  // Chain the four state words with the id through splitmix64 so distinct
-  // ids give uncorrelated seeds. const: the parent state is only read.
-  std::uint64_t sm = stream_id ^ 0xa0761d6478bd642fULL;
-  std::uint64_t seed = splitmix64(sm);
-  for (const std::uint64_t word : s_) {
-    sm ^= word;
-    seed ^= splitmix64(sm);
-  }
-  return Rng(seed);
-}
-
 std::uint64_t Rng::next_u64() {
   // xoshiro256**
   const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;

@@ -20,14 +20,6 @@ class Rng {
   /// its own stream so adding a component never perturbs the others.
   [[nodiscard]] Rng fork();
 
-  /// Derive an independent *named* child stream without consuming any state:
-  /// the child depends only on the parent's current state and `stream_id`.
-  /// Unlike fork(), sibling streams can be derived in any order, and drawing
-  /// from one stream never perturbs another — the property the sharded
-  /// simulation kernel needs so per-shard draws cannot reorder across
-  /// thread counts.
-  [[nodiscard]] Rng stream(std::uint64_t stream_id) const;
-
   std::uint64_t next_u64();
 
   /// Uniform in [0, 1).

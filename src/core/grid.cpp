@@ -60,13 +60,6 @@ Cluster::Cluster(Grid& grid, ClusterId id, ClusterConfig config)
     segment_ids_.push_back(grid_.network().add_segment(segment));
   }
 
-  // Components start timers and announce themselves at construction; on a
-  // sharded engine those events must land on the shard that owns the node's
-  // segment. The manager and user nodes live on the first segment; each
-  // provider gets a nested scope for its own segment below.
-  sim::Engine::ShardScope manager_scope(
-      grid_.engine(), grid_.network().shard_of_segment(segment_ids_.front()));
-
   // --- Cluster Manager node ---
   const auto manager_addr = grid_.allocate_endpoint(segment_ids_.front());
   manager_orb_ = std::make_unique<orb::Orb>(manager_addr, grid_.transport(),
@@ -198,8 +191,6 @@ Cluster::Cluster(Grid& grid, ClusterId id, ClusterConfig config)
 
     const auto segment =
         segment_ids_.at(static_cast<std::size_t>(node_config.segment));
-    sim::Engine::ShardScope node_scope(grid_.engine(),
-                                       grid_.network().shard_of_segment(segment));
     const auto addr = grid_.allocate_endpoint(segment);
     worker->orb = std::make_unique<orb::Orb>(addr, grid_.transport(),
                                              &grid_.engine(), config_.orb);
@@ -282,8 +273,6 @@ Cluster::Cluster(Grid& grid, ClusterId id, ClusterConfig config)
       }
       if (members.empty()) continue;
       const auto segment = segment_ids_[s];
-      sim::Engine::ShardScope batcher_scope(
-          grid_.engine(), grid_.network().shard_of_segment(segment));
       const auto addr = grid_.allocate_endpoint(segment);
       SegmentBatcher& slot = batchers_[s];
       slot.orb = std::make_unique<orb::Orb>(addr, grid_.transport(),
@@ -397,25 +386,8 @@ MInstr Cluster::total_work_done() const {
 Grid::Grid(std::uint64_t seed, GridOptions options)
     : rng_(seed), network_(engine_, Rng(seed ^ 0x9e3779b97f4a7c15ULL)),
       transport_(network_) {
-  engine_.configure_shards(options.sim_shards);
-  engine_.set_worker_threads(options.sim_threads);
-  network_.configure_shards();
-  network_.set_latency_floor(options.min_cross_shard_latency_floor);
-  obs_.tracer.configure_shards(engine_.shard_count());
-  // Kernel health metrics: window counts feed the events-per-window figure
-  // the parallel kernel lives or dies by; commit_ns is wall-clock commit
-  // overhead (nondeterministic by nature — excluded from any byte-compared
-  // output, which only ever covers simulation results).
   obs_.hub.add_source("sim/engine", [this](MetricRegistry& out) {
     out.counter("sim.events").add(engine_.events_fired());
-    out.counter("sim.windows").add(engine_.windows_run());
-    out.counter("sim.windows_committed").add(engine_.windows_committed());
-    out.counter("sim.commit_ns").add(engine_.commit_ns());
-    if (engine_.windows_run() > 0) {
-      out.summary("sim.events_per_window")
-          .observe(static_cast<double>(engine_.events_fired()) /
-                   static_cast<double>(engine_.windows_run()));
-    }
   });
   if (!options.realm_passphrase.empty()) {
     secure_transport_ = std::make_unique<security::SecureTransport>(
@@ -433,13 +405,6 @@ orb::Transport& Grid::transport() {
 Cluster& Grid::add_cluster(ClusterConfig config) {
   const ClusterId id(clusters_.size() + 1);
   clusters_.push_back(std::make_unique<Cluster>(*this, id, std::move(config)));
-  // The new cluster's segments may tighten the smallest inter-shard path;
-  // the engine's conservative lookahead must track the current topology
-  // (kTimeNever — no cross-shard pair — leaves windows unbounded, which is
-  // exactly right: nothing can cross shards).
-  if (engine_.shard_count() > 1) {
-    engine_.set_lookahead(network_.min_cross_shard_latency());
-  }
   return *clusters_.back();
 }
 
@@ -455,22 +420,14 @@ void Grid::run_for(SimDuration d) {
   // kTimeNever, not wrap negative and return without running anything.
   const SimTime deadline = (d > kTimeNever - now) ? kTimeNever : now + d;
   engine_.run_until(deadline);
-  obs_.tracer.flush_pending();
 }
 
-void Grid::run_until(SimTime t) {
-  engine_.run_until(t);
-  obs_.tracer.flush_pending();
-}
+void Grid::run_until(SimTime t) { engine_.run_until(t); }
 
 bool Grid::run_until_app_done(Cluster& cluster, AppId app, SimTime deadline) {
-  // run_chunk: one event on a single-shard engine (the historical step()
-  // loop), one lookahead window on a sharded one — the finest grain at
-  // which completion can be observed without splitting windows.
   while (engine_.now() < deadline && !cluster.asct().done(app)) {
-    if (!engine_.run_chunk(deadline)) break;
+    if (!engine_.step(deadline)) break;
   }
-  obs_.tracer.flush_pending();
   return cluster.asct().done(app);
 }
 

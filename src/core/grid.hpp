@@ -236,22 +236,6 @@ struct GridOptions {
   /// realm key derived from this passphrase (paper §3's authentication
   /// requirement). Unkeyed or tampered traffic is dropped at the transport.
   std::string realm_passphrase;
-  /// Event-queue shards for the parallel simulation kernel. Shard layout is
-  /// part of the experiment definition (it selects per-shard RNG streams),
-  /// so results are comparable only across runs with the same value; 1 (the
-  /// default) is the historical single-queue engine, byte for byte.
-  std::size_t sim_shards = 1;
-  /// Worker threads executing shard windows. Any value produces the same
-  /// results for a given sim_shards — threads trade wall-clock, never
-  /// determinism. See docs/parallel_sim.md.
-  std::size_t sim_threads = 1;
-  /// Minimum effective latency for *inter-segment* traffic, applied by the
-  /// network to every cross-segment delivery regardless of shard layout
-  /// (so the simulated workload is identical at any shard count). Topology
-  /// builders set it from their segment classes; the engine's conservative
-  /// lookahead then gets to use the effective floor instead of the raw
-  /// topology minimum, widening windows on WAN-like grids. 0 disables it.
-  SimDuration min_cross_shard_latency_floor = 0;
 };
 
 class Grid {

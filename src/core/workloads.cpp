@@ -1,8 +1,5 @@
 #include "core/workloads.hpp"
 
-#include <algorithm>
-#include <cassert>
-
 namespace integrade::core {
 
 namespace {
@@ -106,54 +103,6 @@ ClusterConfig quiet_cluster(int nodes, std::uint64_t seed, Mips mips,
     config.nodes.push_back(node_config);
   }
   return config;
-}
-
-ClusterConfig reshard_cluster(ClusterConfig config, int segments) {
-  assert(segments >= 1 && !config.segments.empty());
-  sim::SegmentSpec base = config.segments.front();
-  const std::string stem =
-      base.name.empty() ? config.name : base.name;
-  config.segments.clear();
-  for (int g = 0; g < segments; ++g) {
-    sim::SegmentSpec segment = base;
-    segment.name = stem + "-shard" + std::to_string(g);
-    config.segments.push_back(std::move(segment));
-  }
-  for (std::size_t i = 0; i < config.nodes.size(); ++i) {
-    config.nodes[i].segment = static_cast<int>(i % static_cast<std::size_t>(segments));
-  }
-  return config;
-}
-
-ClusterConfig reshard_cluster_wan(ClusterConfig config, int segments,
-                                  SimDuration uplink_latency) {
-  assert(uplink_latency >= 0);
-  config = reshard_cluster(std::move(config), segments);
-  for (auto& segment : config.segments) segment.uplink_latency = uplink_latency;
-  return config;
-}
-
-SimDuration min_inter_segment_latency(const ClusterConfig& config) {
-  SimDuration bound = kTimeNever;
-  for (std::size_t i = 0; i < config.segments.size(); ++i) {
-    for (std::size_t j = i + 1; j < config.segments.size(); ++j) {
-      const auto& a = config.segments[i];
-      const auto& b = config.segments[j];
-      bound = std::min(bound, a.latency + a.uplink_latency + b.uplink_latency +
-                                  b.latency);
-    }
-  }
-  return bound;
-}
-
-int choose_shard_count(std::size_t nodes, std::size_t target_nodes_per_shard) {
-  assert(target_nodes_per_shard >= 1);
-  if (nodes <= target_nodes_per_shard) return 1;
-  // Round to nearest so 1.5x the target still prefers one fat shard over
-  // two starved ones.
-  const std::size_t shards =
-      (nodes + target_nodes_per_shard / 2) / target_nodes_per_shard;
-  return static_cast<int>(std::min(shards, nodes));
 }
 
 }  // namespace integrade::core

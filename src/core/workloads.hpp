@@ -46,35 +46,4 @@ ClusterConfig segmented_cluster(int groups, int nodes_per_group,
 ClusterConfig quiet_cluster(int nodes, std::uint64_t seed, Mips mips = 1000.0,
                             const std::string& name = "quiet");
 
-/// Re-home an existing cluster config onto `segments` equal copies of its
-/// first segment, nodes round-robin — the shape the sharded simulation
-/// kernel partitions across shards (one shard per segment group). A pure
-/// reshaping: machine specs, profiles, and policies are untouched. Note the
-/// topology change is visible to the simulation (inter-segment traffic
-/// crosses uplinks), so results are comparable across *thread* counts, not
-/// with the unsharded single-segment run.
-ClusterConfig reshard_cluster(ClusterConfig config, int segments);
-
-/// WAN-class resharding: reshard_cluster plus each segment copy becomes a
-/// remote site whose uplink carries `uplink_latency` of propagation delay.
-/// Pair it with GridOptions::min_cross_shard_latency_floor (usually the
-/// inter-segment path latency this implies, or the site class's declared
-/// floor if higher): the engine's lookahead widens to the effective floor,
-/// and windows on event-sparse control traffic grow proportionally.
-ClusterConfig reshard_cluster_wan(ClusterConfig config, int segments,
-                                  SimDuration uplink_latency);
-
-/// Smallest inter-segment path latency a config's segments imply (the raw
-/// topology bound the engine would see without a declared floor);
-/// kTimeNever for single-segment configs.
-SimDuration min_inter_segment_latency(const ClusterConfig& config);
-
-/// Shard-count heuristic for the parallel kernel: enough shards to spread
-/// `nodes` at ~`target_nodes_per_shard` apiece, never more than one shard
-/// per node. Fewer, fatter shards keep events-per-window high (each window
-/// costs one commit rendezvous regardless of how much work it carried);
-/// the default target keeps per-window work comfortably above the barrier
-/// cost on LAN-class topologies.
-int choose_shard_count(std::size_t nodes, std::size_t target_nodes_per_shard = 40);
-
 }  // namespace integrade::core

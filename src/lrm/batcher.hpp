@@ -22,10 +22,6 @@
 //   * Atomicity is a *feature* of the frame: a partitioned or lossy uplink
 //     drops all of a segment's updates for that period, never a prefix, so
 //     the GRM's view of a segment is always internally consistent.
-//
-// The batcher is pinned to its segment's shard (construct it inside an
-// Engine::ShardScope): its ticks are segment-local events, keeping the
-// sharded kernel's event density per shard balanced.
 #pragma once
 
 #include <vector>

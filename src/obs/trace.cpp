@@ -1,9 +1,6 @@
 #include "obs/trace.hpp"
 
-#include <algorithm>
 #include <sstream>
-
-#include "common/shard.hpp"
 
 namespace integrade::obs {
 
@@ -91,39 +88,11 @@ void Tracer::enable(std::size_t capacity) {
 
 void Tracer::disable() { log_.reset(); }
 
-void Tracer::configure_shards(std::size_t n) {
-  lanes_.clear();
-  if (n > 1) lanes_.resize(n);
-}
-
-Tracer::Lane& Tracer::ambient_lane() {
-  // Lane of the executing shard. Outside any shard context (harness code
-  // between runs) lane 0 is used — safe, since nothing executes in
-  // parallel then.
-  const ShardContext& context = ambient_shard_context();
-  const std::size_t shard = context.active ? context.shard : 0;
-  return lanes_[shard < lanes_.size() ? shard : 0];
-}
-
 Tracer::ActiveSpan Tracer::start(const char* name, TraceContext parent, SimTime now) {
   if (!enabled()) return {};
   ActiveSpan span;
-  if (lanes_.empty()) {
-    span.trace_id = parent.valid() ? parent.trace_id : next_trace_id_++;
-    span.span_id = next_span_id_++;
-  } else {
-    // Shard-tagged ids: lane tag (shard + 1) in the high bits, the lane's
-    // own counter below — unique across shards with no coordination, and
-    // a pure function of shard-local execution order, so identical for
-    // every thread count.
-    const ShardContext& context = ambient_shard_context();
-    const std::uint64_t tag =
-        static_cast<std::uint64_t>((context.active ? context.shard : 0) + 1)
-        << 40;
-    Lane& lane = ambient_lane();
-    span.trace_id = parent.valid() ? parent.trace_id : (tag | lane.next_trace_id++);
-    span.span_id = tag | lane.next_span_id++;
-  }
+  span.trace_id = parent.valid() ? parent.trace_id : next_trace_id_++;
+  span.span_id = next_span_id_++;
   span.parent_id = parent.valid() ? parent.span_id : 0;
   span.name = name;
   span.start = now;
@@ -143,41 +112,7 @@ void Tracer::finish(const ActiveSpan& span, SimTime now, std::string note) {
   out.task = span.task;
   out.node = span.node;
   out.note = std::move(note);
-  if (lanes_.empty()) {
-    log_->append(std::move(out));
-    return;
-  }
-  ambient_lane().pending.push_back(std::move(out));
-}
-
-void Tracer::flush_pending() {
-  if (lanes_.empty() || !enabled()) return;
-  // Deterministic merge: (end, shard, per-shard finish order). All three
-  // keys are invariants of shard-local execution, never of thread timing.
-  struct Keyed {
-    SimTime end;
-    std::size_t shard;
-    std::size_t index;
-  };
-  std::vector<Keyed> order;
-  std::size_t total = 0;
-  for (const Lane& lane : lanes_) total += lane.pending.size();
-  if (total == 0) return;
-  order.reserve(total);
-  for (std::size_t s = 0; s < lanes_.size(); ++s) {
-    for (std::size_t i = 0; i < lanes_[s].pending.size(); ++i) {
-      order.push_back(Keyed{lanes_[s].pending[i].end, s, i});
-    }
-  }
-  std::sort(order.begin(), order.end(), [](const Keyed& a, const Keyed& b) {
-    if (a.end != b.end) return a.end < b.end;
-    if (a.shard != b.shard) return a.shard < b.shard;
-    return a.index < b.index;
-  });
-  for (const Keyed& key : order) {
-    log_->append(std::move(lanes_[key.shard].pending[key.index]));
-  }
-  for (Lane& lane : lanes_) lane.pending.clear();
+  log_->append(std::move(out));
 }
 
 }  // namespace integrade::obs

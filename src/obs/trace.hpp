@@ -18,14 +18,6 @@
 //  3. Bounded memory: finished spans land in a fixed-capacity ring
 //     (TraceLog); once full, the oldest spans are overwritten and counted
 //     as dropped.
-//
-// Sharded engines: when the simulation kernel runs several shards in
-// parallel, spans are created and finished concurrently. The tracer then
-// keeps one id lane and one finished-span buffer per shard (selected by the
-// ambient shard context, so no locking and no cross-thread contention) and
-// flush_pending() merges the buffers into the ring in deterministic
-// (end time, shard, per-shard order) order — identical for any thread
-// count. Single-shard tracers behave exactly as before.
 #pragma once
 
 #include <cstdint>
@@ -117,19 +109,6 @@ class Tracer {
   [[nodiscard]] TraceLog* log() { return log_.get(); }
   [[nodiscard]] const TraceLog* log() const { return log_.get(); }
 
-  /// Match the engine's shard layout (Grid wires this). With n > 1, ids are
-  /// drawn from per-shard lanes (lane tag in the high bits, counter below)
-  /// and finished spans buffer per shard until flush_pending(). Ids and
-  /// ring order therefore differ from a single-shard run — shard count is
-  /// part of the experiment definition — but never across thread counts.
-  void configure_shards(std::size_t n);
-
-  /// Merge per-shard finished-span buffers into the ring, ordered by
-  /// (end, shard, per-shard finish order). Call between runs (Grid's run_*
-  /// do); must not be called while a parallel window executes. No-op on a
-  /// single-shard tracer.
-  void flush_pending();
-
   /// Start a span at sim-time `now`. With a valid parent the span joins that
   /// trace; otherwise it roots a new one. Returns an inactive span when
   /// disabled.
@@ -139,20 +118,9 @@ class Tracer {
   void finish(const ActiveSpan& span, SimTime now, std::string note = {});
 
  private:
-  /// Per-shard id counters and finished-span buffer; only the worker
-  /// executing that shard touches it.
-  struct Lane {
-    std::uint64_t next_trace_id = 1;
-    std::uint64_t next_span_id = 1;
-    std::vector<Span> pending;
-  };
-
-  [[nodiscard]] Lane& ambient_lane();
-
   std::unique_ptr<TraceLog> log_;
   std::uint64_t next_trace_id_ = 1;
   std::uint64_t next_span_id_ = 1;
-  std::vector<Lane> lanes_;  // sized only when sharded (shards > 1)
 };
 
 }  // namespace integrade::obs

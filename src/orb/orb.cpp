@@ -1,7 +1,6 @@
 #include "orb/orb.hpp"
 
 #include <cassert>
-#include <optional>
 #include <utility>
 
 #include "common/log.hpp"
@@ -27,7 +26,6 @@ Orb::Orb(NodeAddress self, Transport& transport, sim::Engine* engine,
     : self_(self),
       transport_(transport),
       engine_(engine),
-      home_shard_(engine != nullptr ? engine->current_shard() : 0),
       options_(options),
       dedup_(options.dedup_window) {
   transport_.bind(self_, [this](NodeAddress src, const std::vector<std::uint8_t>& f) {
@@ -75,12 +73,6 @@ void Orb::invoke(const ObjectRef& target, const std::string& operation,
                  std::vector<std::uint8_t> args, InvokeCallback callback,
                  SimDuration timeout) {
   assert(callback);
-  // Home-shard scope: timeout/retransmit events and the send's RNG draw
-  // must belong to this node's shard no matter which thread or context the
-  // caller is in (no-op re-entry when already executing on the home shard).
-  std::optional<sim::Engine::ShardScope> shard_scope;
-  if (engine_ != nullptr && engine_->shard_count() > 1)
-    shard_scope.emplace(*engine_, home_shard_);
   if (shutdown_) {
     callback(Status(ErrorCode::kUnavailable, "ORB shut down"));
     return;
@@ -135,9 +127,6 @@ void Orb::invoke(const ObjectRef& target, const std::string& operation,
 void Orb::send_oneway(const ObjectRef& target, const std::string& operation,
                       std::vector<std::uint8_t> args) {
   if (shutdown_ || !target.valid()) return;
-  std::optional<sim::Engine::ShardScope> shard_scope;
-  if (engine_ != nullptr && engine_->shard_count() > 1)
-    shard_scope.emplace(*engine_, home_shard_);
   RequestHeader header;
   header.request_id = RequestId(next_request_id_++);
   header.object_key = target.key;

@@ -192,12 +192,6 @@ class Orb {
   NodeAddress self_;
   Transport& transport_;
   sim::Engine* engine_;
-  /// Shard ambient when this ORB was constructed — the shard owning its
-  /// node's segment. Client entry points (invoke/send_oneway) re-establish
-  /// it so timeouts and retransmits land on the home shard even when a
-  /// caller drives the ORB from outside event execution (Asct::submit from
-  /// the harness thread).
-  std::uint32_t home_shard_ = 0;
   OrbOptions options_;
   bool shutdown_ = false;
   std::uint64_t next_object_key_ = 1;

@@ -1,8 +1,6 @@
 #include "sim/engine.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <utility>
 
 namespace integrade::sim {
@@ -22,284 +20,140 @@ SimTime sat_add(SimTime a, SimDuration b) {
 // ---------------------------------------------------------------------------
 
 void EventHandle::cancel() {
-  if (engine_ != nullptr) engine_->cancel_slot(shard_, slot_, generation_);
+  if (engine_ != nullptr) engine_->cancel_slot(slot_, generation_);
 }
 
 bool EventHandle::active() const {
-  return engine_ != nullptr && engine_->slot_active(shard_, slot_, generation_);
-}
-
-// ---------------------------------------------------------------------------
-// Construction & configuration
-// ---------------------------------------------------------------------------
-
-Engine::Engine() : shards_(1) { shards_[0].outbox.resize(1); }
-
-Engine::~Engine() { stop_workers(); }
-
-void Engine::configure_shards(std::size_t shards) {
-  assert(shards >= 1);
-  assert(committed_now_ == 0 && pending() == 0 && global_heap_.empty() &&
-         "shard layout must be fixed before the simulation starts");
-  stop_workers();
-  shards_.clear();
-  shards_.resize(shards);
-  for (Shard& shard : shards_) shard.outbox.resize(shards);
-}
-
-void Engine::set_lookahead(SimDuration bound) {
-  assert(bound >= 0);
-  lookahead_ = bound;
-}
-
-void Engine::set_worker_threads(std::size_t threads) {
-  assert(threads >= 1);
-  assert(!in_window_);
-  if (threads == threads_) return;
-  stop_workers();
-  threads_ = threads;
-}
-
-std::uint32_t Engine::current_shard() const {
-  const ShardContext& context = ambient_shard_context();
-  return (context.active && context.engine == this) ? context.shard : 0;
-}
-
-std::uint32_t Engine::ambient_shard() const {
-  const std::uint32_t shard = current_shard();
-  assert(shard < shards_.size());
-  return shard;
-}
-
-Engine::ShardScope::ShardScope(Engine& engine, std::uint32_t shard) {
-  assert(shard < engine.shard_count());
-  ShardContext& context = ambient_shard_context();
-  saved_ = context;
-  context = ShardContext{&engine, shard, true};
-}
-
-Engine::ShardScope::~ShardScope() { ambient_shard_context() = saved_; }
-
-SimTime Engine::now() const {
-  const ShardContext& context = ambient_shard_context();
-  if (context.active && context.engine == this) return shards_[context.shard].now;
-  return committed_now_;
+  return engine_ != nullptr && engine_->slot_active(slot_, generation_);
 }
 
 // ---------------------------------------------------------------------------
 // Cancellation slab
 // ---------------------------------------------------------------------------
 
-std::uint32_t Engine::acquire_slot(Shard& shard) {
-  if (!shard.free_slots.empty()) {
-    const std::uint32_t slot = shard.free_slots.back();
-    shard.free_slots.pop_back();
-    shard.slots[slot].cancelled = false;
+std::uint32_t Engine::acquire_slot() {
+  if (!free_slots_.empty()) {
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot].cancelled = false;
     return slot;
   }
-  shard.slots.push_back(Slot{});
-  return static_cast<std::uint32_t>(shard.slots.size() - 1);
+  slots_.push_back(Slot{});
+  return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
-void Engine::release_slot(Shard& shard, std::uint32_t slot) {
+void Engine::release_slot(std::uint32_t slot) {
   // Bumping the generation invalidates every outstanding handle to this
   // slot's previous tenant before the slot is handed to a new event.
-  ++shard.slots[slot].generation;
-  shard.slots[slot].cancelled = false;
-  shard.free_slots.push_back(slot);
+  ++slots_[slot].generation;
+  slots_[slot].cancelled = false;
+  free_slots_.push_back(slot);
 }
 
-void Engine::cancel_slot(std::uint32_t shard_index, std::uint32_t slot,
-                         std::uint32_t generation) {
-  if (shard_index >= shards_.size()) return;
-  const ShardContext& context = ambient_shard_context();
-  if (in_window_ && context.active && context.engine == this &&
-      context.shard != shard_index) {
-    // Cross-shard cancel during a window: the target heap belongs to another
-    // worker. Buffer the request; the barrier applies it deterministically
-    // (after the event merge, in source-shard order). If the event fires
-    // before the barrier, the generation check makes this a no-op — the
-    // cancel lost the race with the commit horizon, exactly as it would have
-    // in a sequential execution where the event ran first.
-    shards_[context.shard].cancel_outbox.push_back(
-        RemoteCancel{shard_index, slot, generation});
-    return;
-  }
-  apply_cancel(shards_[shard_index], slot, generation);
-}
-
-void Engine::apply_cancel(Shard& shard, std::uint32_t slot,
-                          std::uint32_t generation) {
-  if (slot >= shard.slots.size()) return;
-  Slot& s = shard.slots[slot];
+void Engine::cancel_slot(std::uint32_t slot, std::uint32_t generation) {
+  if (slot >= slots_.size()) return;
+  Slot& s = slots_[slot];
   if (s.generation != generation || s.cancelled) return;
   s.cancelled = true;
-  ++shard.cancelled_pending;
+  ++cancelled_pending_;
   // Lazy compaction: a queue that is mostly tombstones wastes heap work and
   // memory, so rebuild once cancellations outnumber live events.
-  if (shard.cancelled_pending * 2 > shard.heap.size() && shard.heap.size() >= 64)
-    compact(shard);
+  if (cancelled_pending_ * 2 > heap_.size() && heap_.size() >= 64) compact();
 }
 
-bool Engine::slot_active(std::uint32_t shard_index, std::uint32_t slot,
-                         std::uint32_t generation) const {
-  if (shard_index >= shards_.size()) return false;
-  const Shard& shard = shards_[shard_index];
-  return slot < shard.slots.size() && shard.slots[slot].generation == generation &&
-         !shard.slots[slot].cancelled;
+bool Engine::slot_active(std::uint32_t slot, std::uint32_t generation) const {
+  return slot < slots_.size() && slots_[slot].generation == generation &&
+         !slots_[slot].cancelled;
 }
 
-void Engine::compact(Shard& shard) {
+void Engine::compact() {
   std::size_t out = 0;
-  for (std::size_t i = 0; i < shard.heap.size(); ++i) {
-    if (shard.slots[shard.heap[i].slot].cancelled) {
-      release_slot(shard, shard.heap[i].slot);
+  for (std::size_t i = 0; i < heap_.size(); ++i) {
+    if (slots_[heap_[i].slot].cancelled) {
+      release_slot(heap_[i].slot);
       continue;
     }
-    if (out != i) shard.heap[out] = std::move(shard.heap[i]);
+    if (out != i) heap_[out] = std::move(heap_[i]);
     ++out;
   }
-  shard.heap.erase(shard.heap.begin() + static_cast<std::ptrdiff_t>(out),
-                   shard.heap.end());
-  shard.cancelled_pending = 0;
+  heap_.erase(heap_.begin() + static_cast<std::ptrdiff_t>(out), heap_.end());
+  cancelled_pending_ = 0;
   // Floyd heapify: O(n), and pop order is governed solely by the total
   // (when, seq) order, so the rebuild cannot perturb replay determinism.
-  for (std::size_t i = shard.heap.size() / 2; i-- > 0;) sift_down(shard, i);
+  for (std::size_t i = heap_.size() / 2; i-- > 0;) sift_down(i);
 }
 
 // ---------------------------------------------------------------------------
 // Binary heap (min on (when, seq); events are moved, never copied)
 // ---------------------------------------------------------------------------
 
-void Engine::sift_up(Shard& shard, std::size_t i) {
+void Engine::sift_up(std::size_t i) {
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
-    if (!earlier(shard.heap[i], shard.heap[parent])) break;
-    std::swap(shard.heap[i], shard.heap[parent]);
+    if (!earlier(heap_[i], heap_[parent])) break;
+    std::swap(heap_[i], heap_[parent]);
     i = parent;
   }
 }
 
-void Engine::sift_down(Shard& shard, std::size_t i) {
-  const std::size_t n = shard.heap.size();
+void Engine::sift_down(std::size_t i) {
+  const std::size_t n = heap_.size();
   while (true) {
     const std::size_t left = 2 * i + 1;
     if (left >= n) break;
     const std::size_t right = left + 1;
     std::size_t least = left;
-    if (right < n && earlier(shard.heap[right], shard.heap[left])) least = right;
-    if (!earlier(shard.heap[least], shard.heap[i])) break;
-    std::swap(shard.heap[i], shard.heap[least]);
+    if (right < n && earlier(heap_[right], heap_[left])) least = right;
+    if (!earlier(heap_[least], heap_[i])) break;
+    std::swap(heap_[i], heap_[least]);
     i = least;
   }
 }
 
-void Engine::pop_root(Shard& shard) {
-  if (shard.heap.size() > 1) {
-    shard.heap.front() = std::move(shard.heap.back());
-    shard.heap.pop_back();
-    sift_down(shard, 0);
+void Engine::pop_root() {
+  if (heap_.size() > 1) {
+    heap_.front() = std::move(heap_.back());
+    heap_.pop_back();
+    sift_down(0);
   } else {
-    shard.heap.pop_back();
+    heap_.pop_back();
   }
 }
 
 // ---------------------------------------------------------------------------
-// Scheduling
+// Scheduling and dispatch
 // ---------------------------------------------------------------------------
 
-EventHandle Engine::schedule_on_shard(Shard& shard, std::uint32_t shard_index,
-                                      SimTime when, std::function<void()> fn) {
-  assert(when >= shard.now && "cannot schedule in the past");
-  const std::uint32_t slot = acquire_slot(shard);
-  shard.heap.emplace_back(when, shard.next_seq++, slot, std::move(fn));
-  sift_up(shard, shard.heap.size() - 1);
-  return EventHandle(this, shard_index, slot, shard.slots[slot].generation);
-}
-
 EventHandle Engine::schedule_at(SimTime when, std::function<void()> fn) {
-  const std::uint32_t shard = ambient_shard();
-  return schedule_on_shard(shards_[shard], shard, when, std::move(fn));
+  assert(when >= now_ && "cannot schedule in the past");
+  const std::uint32_t slot = acquire_slot();
+  heap_.emplace_back(when, next_seq_++, slot, std::move(fn));
+  sift_up(heap_.size() - 1);
+  return EventHandle(this, slot, slots_[slot].generation);
 }
 
 EventHandle Engine::schedule_after(SimDuration delay, std::function<void()> fn) {
   assert(delay >= 0);
-  return schedule_at(sat_add(now(), delay), std::move(fn));
+  return schedule_at(sat_add(now_, delay), std::move(fn));
 }
-
-EventHandle Engine::schedule_on(std::uint32_t shard_index, SimTime when,
-                                std::function<void()> fn) {
-  assert(shard_index < shards_.size());
-  const ShardContext& context = ambient_shard_context();
-  if (in_window_ && context.active && context.engine == this &&
-      context.shard != shard_index) {
-    // Cross-shard send from inside a window: buffer in the source shard's
-    // outbox. The conservative invariant — the event cannot land inside the
-    // current window — is exactly the lookahead bound.
-    Shard& src = shards_[context.shard];
-    assert(when >= sat_add(src.now, lookahead_) &&
-           "cross-shard event violates the lookahead bound");
-    src.outbox[shard_index].push_back(
-        RemoteEvent{when, context.shard, src.remote_seq++, std::move(fn)});
-    ++src.outbox_pending;
-    // The destination slot does not exist until the barrier commits the
-    // event, so the handle is inert. (sim::Network delivery, the only
-    // cross-shard producer, never cancels deliveries.)
-    return EventHandle{};
-  }
-  return schedule_on_shard(shards_[shard_index], shard_index, when, std::move(fn));
-}
-
-void Engine::schedule_global_at(SimTime when, std::function<void()> fn) {
-  if (shards_.size() == 1) {
-    // Single shard: everything is already serialized; a plain event keeps
-    // byte-identical legacy ordering.
-    schedule_at(when, std::move(fn));
-    return;
-  }
-  const ShardContext& context = ambient_shard_context();
-  if (in_window_ && context.active && context.engine == this) {
-    Shard& src = shards_[context.shard];
-    src.global_outbox.emplace_back(when, src.global_outbox.size(), std::move(fn));
-    return;
-  }
-  assert(when >= committed_now_);
-  global_heap_.emplace_back(when, next_global_seq_++, std::move(fn));
-  std::push_heap(global_heap_.begin(), global_heap_.end(),
-                 [](const GlobalEvent& a, const GlobalEvent& b) {
-                   return a.when != b.when ? a.when > b.when : a.seq > b.seq;
-                 });
-}
-
-void Engine::schedule_global_after(SimDuration delay, std::function<void()> fn) {
-  assert(delay >= 0);
-  schedule_global_at(sat_add(now(), delay), std::move(fn));
-}
-
-// ---------------------------------------------------------------------------
-// Single-shard dispatch (the historical engine, byte-for-byte)
-// ---------------------------------------------------------------------------
 
 bool Engine::step(SimTime deadline) {
-  assert(shards_.size() == 1 && "step() is single-shard; use run_chunk()");
-  Shard& shard = shards_[0];
-  while (!shard.heap.empty()) {
-    Event& top = shard.heap.front();
-    if (shard.slots[top.slot].cancelled) {
-      --shard.cancelled_pending;
-      release_slot(shard, top.slot);
-      pop_root(shard);
+  while (!heap_.empty()) {
+    Event& top = heap_.front();
+    if (slots_[top.slot].cancelled) {
+      --cancelled_pending_;
+      release_slot(top.slot);
+      pop_root();
       continue;
     }
     if (top.when > deadline) return false;
-    shard.now = top.when;
-    committed_now_ = top.when;
-    ++shard.fired;
+    now_ = top.when;
+    ++fired_;
     // Move the closure out and retire the event *before* running it: the
     // callback may schedule, cancel, or compact freely.
     std::function<void()> fn = std::move(top.fn);
-    release_slot(shard, top.slot);
-    pop_root(shard);
+    release_slot(top.slot);
+    pop_root();
     fn();
     return true;
   }
@@ -307,360 +161,10 @@ bool Engine::step(SimTime deadline) {
 }
 
 std::int64_t Engine::run_until(SimTime deadline) {
-  if (shards_.size() == 1) {
-    std::int64_t n = 0;
-    while (step(deadline)) ++n;
-    if (deadline != kTimeNever && deadline > shards_[0].now) {
-      shards_[0].now = deadline;
-      committed_now_ = deadline;
-    }
-    return n;
-  }
-  const std::int64_t before = events_fired();
-  while (run_chunk(deadline)) {
-  }
-  if (deadline != kTimeNever && deadline > committed_now_) {
-    committed_now_ = deadline;
-    for (Shard& shard : shards_)
-      if (deadline > shard.now) shard.now = deadline;
-  }
-  return events_fired() - before;
-}
-
-// ---------------------------------------------------------------------------
-// Sharded dispatch: lookahead windows and global batches
-// ---------------------------------------------------------------------------
-
-SimTime Engine::next_live_time(Shard& shard) {
-  while (!shard.heap.empty()) {
-    const Event& top = shard.heap.front();
-    if (!shard.slots[top.slot].cancelled) return top.when;
-    --shard.cancelled_pending;
-    release_slot(shard, top.slot);
-    pop_root(shard);
-  }
-  return kTimeNever;
-}
-
-SimTime Engine::next_global_time() const {
-  return global_heap_.empty() ? kTimeNever : global_heap_.front().when;
-}
-
-bool Engine::run_chunk(SimTime deadline) {
-  if (shards_.size() == 1) return step(deadline);
-  assert(lookahead_ > 0 && "sharded engine needs a positive lookahead bound");
-
-  const SimTime gnext = next_global_time();
-  SimTime snext = kTimeNever;
-  for (Shard& shard : shards_) snext = std::min(snext, next_live_time(shard));
-  const SimTime next = std::min(gnext, snext);
-  if (next == kTimeNever || next > deadline) return false;
-
-  if (gnext <= snext) {
-    // A global event is due at or before every shard event: run the whole
-    // batch at that instant with the shards paused. Global-before-shard at
-    // equal timestamps is part of the deterministic order contract.
-    fire_global_batch(gnext);
-    return true;
-  }
-
-  // Window [snext, horizon): every shard may run events strictly below the
-  // horizon because no cross-shard message sent inside the window can
-  // arrive before snext + lookahead. Globals and the caller's deadline
-  // clamp the horizon (deadline inclusively — hence the saturating +1).
-  const SimTime horizon =
-      std::min({sat_add(snext, lookahead_), gnext, sat_add(deadline, 1)});
-  run_window_fused(horizon);
-  ++windows_run_;
-  return true;
-}
-
-void Engine::fire_global_batch(SimTime at) {
-  committed_now_ = at;
-  for (Shard& shard : shards_) shard.now = std::max(shard.now, at);
-  const auto later = [](const GlobalEvent& a, const GlobalEvent& b) {
-    return a.when != b.when ? a.when > b.when : a.seq > b.seq;
-  };
-  while (!global_heap_.empty() && global_heap_.front().when == at) {
-    std::pop_heap(global_heap_.begin(), global_heap_.end(), later);
-    GlobalEvent event = std::move(global_heap_.back());
-    global_heap_.pop_back();
-    ++global_fired_;
-    // The callback may schedule further globals (even at `at`: they join
-    // this batch in seq order) or shard events at >= the shard's clock.
-    event.fn();
-  }
-}
-
-void Engine::run_shard_window(std::uint32_t shard_index, SimTime horizon) {
-  Shard& shard = shards_[shard_index];
-  ShardContext& context = ambient_shard_context();
-  const ShardContext saved = context;
-  context = ShardContext{this, shard_index, true};
-  while (!shard.heap.empty()) {
-    Event& top = shard.heap.front();
-    if (shard.slots[top.slot].cancelled) {
-      --shard.cancelled_pending;
-      release_slot(shard, top.slot);
-      pop_root(shard);
-      continue;
-    }
-    if (top.when >= horizon) break;
-    shard.now = top.when;
-    ++shard.fired;
-    std::function<void()> fn = std::move(top.fn);
-    release_slot(shard, top.slot);
-    pop_root(shard);
-    fn();
-  }
-  context = saved;
-}
-
-bool Engine::any_remote_pending() const {
-  for (const Shard& shard : shards_)
-    if (shard.outbox_pending != 0) return true;
-  return false;
-}
-
-// Fused window: execution, arrival barrier, and cross-shard commit share one
-// rendezvous. Phase A is the arrival barrier; the coordinator then decides
-// whether the window carried any cross-shard sends. If not, workers go
-// straight back to sleep and the commit is skipped wholesale. If so, every
-// participant commits the destinations it owns (dst % team == worker) in
-// parallel — each destination's merge is independent, so the result is
-// identical to the old serial dst-by-dst loop — and the coordinator finishes
-// the serial tail (cancels, clock, globals) alone.
-void Engine::run_window_fused(SimTime horizon) {
-  using Clock = std::chrono::steady_clock;
-  const std::size_t team = std::min(threads_, shards_.size());
-  in_window_ = true;
-  if (team == 1) {
-    for (std::size_t s = 0; s < shards_.size(); ++s)
-      run_shard_window(static_cast<std::uint32_t>(s), horizon);
-    in_window_ = false;
-    const auto t0 = Clock::now();
-    if (any_remote_pending()) {
-      for (std::size_t dst = 0; dst < shards_.size(); ++dst)
-        commit_destination(dst);
-      ++windows_committed_;
-    }
-    commit_tail();
-    commit_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      Clock::now() - t0)
-                      .count();
-    return;
-  }
-
-  start_workers();
-  std::uint64_t gen = 0;
-  {
-    std::lock_guard<std::mutex> lock(pool_->mutex);
-    pool_->horizon = horizon;
-    gen = ++pool_->generation;
-  }
-  pool_->cv.notify_all();
-  // The calling thread is worker 0; shards are assigned statically
-  // (shard s -> worker s % team) so assignment never depends on timing.
-  for (std::size_t s = 0; s < shards_.size(); s += team)
-    run_shard_window(static_cast<std::uint32_t>(s), horizon);
-  pool_->arrived.fetch_add(1, std::memory_order_acq_rel);
-  const std::uint64_t arrive_target = gen * team;
-  while (pool_->arrived.load(std::memory_order_acquire) < arrive_target)
-    std::this_thread::yield();
-
-  const auto t0 = Clock::now();
-  const bool any_remote = any_remote_pending();
-  // Publish the phase-B ticket. Workers take the commit decision from this
-  // word — never from shard state, which the coordinator starts recycling
-  // as soon as the window's tail runs.
-  pool_->phase_b.store(gen * 2 + (any_remote ? 1 : 0),
-                       std::memory_order_release);
-  if (any_remote) {
-    ++pool_->remote_windows;
-    for (std::size_t dst = 0; dst < shards_.size(); dst += team)
-      commit_destination(dst);
-    pool_->committed.fetch_add(1, std::memory_order_acq_rel);
-    const std::uint64_t commit_target = pool_->remote_windows * team;
-    while (pool_->committed.load(std::memory_order_acquire) < commit_target)
-      std::this_thread::yield();
-    ++windows_committed_;
-  }
-  in_window_ = false;
-  commit_tail();
-  commit_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    Clock::now() - t0)
-                    .count();
-}
-
-/// Merge every source's outbox for `dst` into dst's arena in (when, src
-/// shard, src seq) order — a total order independent of execution timing —
-/// then assign destination sequence numbers. Touches only dst's heap/slab
-/// and the per-source outbox column for dst, so distinct destinations commit
-/// concurrently without synchronisation.
-void Engine::commit_destination(std::size_t dst) {
-  Shard& shard = shards_[dst];
-  std::vector<RemoteEvent>& scratch = shard.merge_scratch;
-  scratch.clear();
-  for (std::size_t src = 0; src < shards_.size(); ++src) {
-    auto& box = shards_[src].outbox[dst];
-    for (RemoteEvent& event : box) scratch.push_back(std::move(event));
-    box.clear();
-  }
-  if (scratch.empty()) return;
-  std::sort(scratch.begin(), scratch.end(),
-            [](const RemoteEvent& a, const RemoteEvent& b) {
-              if (a.when != b.when) return a.when < b.when;
-              if (a.src_shard != b.src_shard) return a.src_shard < b.src_shard;
-              return a.src_seq < b.src_seq;
-            });
-  for (RemoteEvent& event : scratch) {
-    assert(event.when >= shard.now &&
-           "lookahead bound too small: cross-shard event lands in the past");
-    const std::uint32_t slot = acquire_slot(shard);
-    shard.heap.emplace_back(std::max(event.when, shard.now), shard.next_seq++,
-                            slot, std::move(event.fn));
-    sift_up(shard, shard.heap.size() - 1);
-  }
-  scratch.clear();
-}
-
-/// Serial window tail, coordinator-only: cross-shard cancels, the committed
-/// clock, globals scheduled mid-window, and the per-window counters.
-void Engine::commit_tail() {
-  // Cross-shard cancels, in source-shard order (deterministic; a target
-  // that fired during the window is a generation-checked no-op).
-  for (Shard& src : shards_) {
-    for (const RemoteCancel& cancel : src.cancel_outbox)
-      apply_cancel(shards_[cancel.shard], cancel.slot, cancel.generation);
-    src.cancel_outbox.clear();
-  }
-  // Commit the clock, then globals scheduled mid-window (clamped: a global
-  // cannot run before shards that already advanced past it).
-  for (const Shard& shard : shards_)
-    committed_now_ = std::max(committed_now_, shard.now);
-  const auto later = [](const GlobalEvent& a, const GlobalEvent& b) {
-    return a.when != b.when ? a.when > b.when : a.seq > b.seq;
-  };
-  for (Shard& src : shards_) {
-    for (GlobalEvent& event : src.global_outbox) {
-      global_heap_.emplace_back(std::max(event.when, committed_now_),
-                                next_global_seq_++, std::move(event.fn));
-      std::push_heap(global_heap_.begin(), global_heap_.end(), later);
-    }
-    src.global_outbox.clear();
-    src.outbox_pending = 0;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Worker pool
-// ---------------------------------------------------------------------------
-
-void Engine::start_workers() {
-  const std::size_t team = std::min(threads_, shards_.size());
-  if (team <= 1) return;
-  if (pool_ && pool_->threads.size() == team - 1) return;
-  stop_workers();
-  pool_ = std::make_unique<WorkerPool>();
-  pool_->threads.reserve(team - 1);
-  for (std::size_t w = 1; w < team; ++w)
-    pool_->threads.emplace_back([this, w] { worker_loop(w); });
-}
-
-void Engine::stop_workers() {
-  if (!pool_) return;
-  {
-    std::lock_guard<std::mutex> lock(pool_->mutex);
-    pool_->shutdown = true;
-  }
-  pool_->cv.notify_all();
-  for (std::thread& thread : pool_->threads) thread.join();
-  pool_.reset();
-}
-
-void Engine::worker_loop(std::size_t worker_index) {
-  const std::size_t team = std::min(threads_, shards_.size());
-  std::uint64_t seen = 0;
-  for (;;) {
-    SimTime horizon;
-    {
-      std::unique_lock<std::mutex> lock(pool_->mutex);
-      pool_->cv.wait(lock,
-                     [&] { return pool_->shutdown || pool_->generation != seen; });
-      if (pool_->shutdown) return;
-      seen = pool_->generation;
-      horizon = pool_->horizon;
-    }
-    for (std::size_t s = worker_index; s < shards_.size(); s += team)
-      run_shard_window(static_cast<std::uint32_t>(s), horizon);
-    pool_->arrived.fetch_add(1, std::memory_order_acq_rel);
-    // Wait for this window's phase-B ticket. The coordinator cannot publish
-    // a *later* window's ticket before this worker re-arrives there, so the
-    // value read at >= seen*2 is exactly this window's decision.
-    std::uint64_t ticket;
-    while ((ticket = pool_->phase_b.load(std::memory_order_acquire)) <
-           seen * 2)
-      std::this_thread::yield();
-    if ((ticket & 1) != 0) {
-      for (std::size_t dst = worker_index; dst < shards_.size(); dst += team)
-        commit_destination(dst);
-      pool_->committed.fetch_add(1, std::memory_order_acq_rel);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Introspection
-// ---------------------------------------------------------------------------
-
-bool Engine::empty() const {
-  for (const Shard& shard : shards_)
-    if (!shard.heap.empty()) return false;
-  return global_heap_.empty();
-}
-
-std::size_t Engine::pending() const {
-  std::size_t n = global_heap_.size();
-  for (const Shard& shard : shards_) n += shard.heap.size();
+  std::int64_t n = 0;
+  while (step(deadline)) ++n;
+  if (deadline != kTimeNever && deadline > now_) now_ = deadline;
   return n;
-}
-
-std::int64_t Engine::events_fired() const {
-  std::int64_t n = global_fired_;
-  for (const Shard& shard : shards_) n += shard.fired;
-  return n;
-}
-
-std::size_t Engine::slot_capacity() const {
-  std::size_t n = 0;
-  for (const Shard& shard : shards_) n += shard.slots.size();
-  return n;
-}
-
-std::size_t Engine::commit_scratch_capacity() const {
-  std::size_t n = 0;
-  for (const Shard& shard : shards_) {
-    n += shard.merge_scratch.capacity();
-    n += shard.cancel_outbox.capacity();
-    n += shard.global_outbox.capacity();
-    for (const auto& box : shard.outbox) n += box.capacity();
-  }
-  return n;
-}
-
-SimTime Engine::shard_now(std::uint32_t shard) const {
-  assert(shard < shards_.size());
-  return shards_[shard].now;
-}
-
-std::size_t Engine::shard_pending(std::uint32_t shard) const {
-  assert(shard < shards_.size());
-  return shards_[shard].heap.size();
-}
-
-std::int64_t Engine::shard_events_fired(std::uint32_t shard) const {
-  assert(shard < shards_.size());
-  return shards_[shard].fired;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,52 +1,25 @@
-// Deterministic discrete-event simulation kernel, sharded.
+// Deterministic discrete-event simulation kernel.
 //
 // The whole InteGrade grid — nodes, owners, managers, the network — runs as
-// callbacks scheduled on one of these engines. Events at equal timestamps
-// fire in scheduling order (a monotonic sequence number breaks ties), which
-// together with the seeded Rng makes every experiment bit-reproducible.
+// callbacks scheduled on one of these engines, on one thread. Events at
+// equal timestamps fire in scheduling order (a monotonic sequence number
+// breaks ties), which together with the seeded Rng makes every experiment
+// bit-reproducible.
 //
 // The event core is allocation-light: events live in a hand-rolled binary
 // heap over a flat vector and are *moved*, never copied, from schedule to
 // fire (Event is move-only, so a copy anywhere is a compile error).
 // Cancellation state lives in a slab of generation-counted slots reused
-// across events — no per-event heap allocation — and handles are a (shard,
-// slot, generation) triple that a reused slot automatically invalidates.
-// Cancelled events normally drain lazily when they reach the top of the
-// heap; if they ever outnumber half the queue the heap is compacted.
-//
-// Sharding (conservative parallel DES). The queue can be partitioned into S
-// shards, each with its own heap, clock, sequence counter, and slot slab.
-// Components always schedule onto the *ambient* shard — the shard whose
-// event is currently executing (or, outside execution, whatever
-// Engine::ShardScope established). Cross-shard work flows only through
-// schedule_on(), which the sim::Network uses to deliver messages to the
-// destination endpoint's shard. Execution proceeds in windows of
-// conservative lookahead L (the minimum cross-shard message delay, derived
-// from network latency bounds): every shard may safely execute all events
-// with timestamp < T + L independently, because no message sent inside the
-// window can arrive before it ends. Cross-shard events produced during a
-// window are buffered in per-shard outboxes and committed at the window
-// barrier in a deterministic merge ordered by (timestamp, source shard,
-// per-shard sequence) — never by arrival order — so the result is
-// bit-identical for any worker thread count, including 1. Global events
-// (schedule_global_*) run at exact times with every shard paused; the fault
-// injector uses them so shared fault state never mutates mid-window.
-//
-// With one shard (the default) every code path below reduces exactly to the
-// historical single-threaded engine: same sequence numbers, same clock
-// semantics, same RNG consumption — byte-identical traces.
+// across events — no per-event heap allocation — and handles are a (slot,
+// generation) pair that a reused slot automatically invalidates. Cancelled
+// events normally drain lazily when they reach the top of the heap; if they
+// ever outnumber half the queue the heap is compacted.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
-#include "common/shard.hpp"
 #include "common/types.hpp"
 
 namespace integrade::sim {
@@ -54,14 +27,9 @@ namespace integrade::sim {
 class Engine;
 
 /// Handle to a scheduled event; allows cancellation. Default-constructed
-/// handles are inert. Handles are trivially copyable (shard + slot +
-/// generation); one whose event already fired — or whose slot was since
-/// reused — is a safe no-op. A handle must not outlive its Engine.
-///
-/// Cross-shard: cancelling from a different shard's executing event is
-/// legal; the request is buffered and applied at the next window barrier,
-/// deterministically. A cancel that loses the race with the event's own
-/// commit horizon (the event fired in the same window) is a no-op.
+/// handles are inert. Handles are trivially copyable (slot + generation);
+/// one whose event already fired — or whose slot was since reused — is a
+/// safe no-op. A handle must not outlive its Engine.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -73,94 +41,27 @@ class EventHandle {
 
  private:
   friend class Engine;
-  EventHandle(Engine* engine, std::uint32_t shard, std::uint32_t slot,
-              std::uint32_t generation)
-      : engine_(engine), shard_(shard), slot_(slot), generation_(generation) {}
+  EventHandle(Engine* engine, std::uint32_t slot, std::uint32_t generation)
+      : engine_(engine), slot_(slot), generation_(generation) {}
   Engine* engine_ = nullptr;
-  std::uint32_t shard_ = 0;
   std::uint32_t slot_ = 0;
   std::uint32_t generation_ = 0;
 };
 
 class Engine {
  public:
-  Engine();
-  ~Engine();
+  Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  // ---------------------------------------------------------------------
-  // Sharding configuration. All three may only be called while no events
-  // are pending and the clock is at zero (i.e. before the simulation
-  // starts); worker threads may additionally be (re)configured between
-  // runs.
-  // ---------------------------------------------------------------------
+  /// Time of the executing event, or where the last run left the clock.
+  [[nodiscard]] SimTime now() const { return now_; }
 
-  /// Partition the event queue into `shards` independent heaps. Shard
-  /// structure is part of the experiment definition: it changes which RNG
-  /// streams draws come from, so results are comparable only across runs
-  /// with the same shard count. Thread count, by contrast, never changes
-  /// results.
-  void configure_shards(std::size_t shards);
-
-  /// Conservative lookahead bound: the minimum possible delay of any
-  /// cross-shard event (sim::Network::min_cross_shard_latency provides it).
-  /// Must be > 0 before a multi-shard engine runs. Raising it widens
-  /// execution windows; lowering it below the true bound is a correctness
-  /// error (asserted at cross-shard commit time).
-  void set_lookahead(SimDuration bound);
-
-  /// Worker threads executing shard windows (clamped to the shard count).
-  /// 1 (the default) executes every shard on the calling thread — in the
-  /// exact same order and with the exact same results as any other count.
-  void set_worker_threads(std::size_t threads);
-
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-  [[nodiscard]] SimDuration lookahead() const { return lookahead_; }
-  [[nodiscard]] std::size_t worker_threads() const { return threads_; }
-
-  /// Shard whose context the calling thread is in (the executing event's
-  /// shard, or whatever ShardScope established); 0 outside any context.
-  [[nodiscard]] std::uint32_t current_shard() const;
-
-  /// Establishes an ambient shard for code that schedules on behalf of a
-  /// component from outside event execution (component construction, fault
-  /// handlers, main-thread API entry points). Restores the previous
-  /// context on destruction.
-  class ShardScope {
-   public:
-    ShardScope(Engine& engine, std::uint32_t shard);
-    ~ShardScope();
-    ShardScope(const ShardScope&) = delete;
-    ShardScope& operator=(const ShardScope&) = delete;
-
-   private:
-    ShardContext saved_;
-  };
-
-  /// Ambient shard's clock during event execution; the globally committed
-  /// time otherwise.
-  [[nodiscard]] SimTime now() const;
-
-  /// Schedule `fn` at absolute time `when` (>= now) on the ambient shard.
+  /// Schedule `fn` at absolute time `when` (>= now).
   EventHandle schedule_at(SimTime when, std::function<void()> fn);
 
-  /// Schedule `fn` after `delay` (>= 0) from now on the ambient shard.
+  /// Schedule `fn` after `delay` (>= 0) from now.
   EventHandle schedule_after(SimDuration delay, std::function<void()> fn);
-
-  /// Schedule onto a specific shard. From a *different* shard's executing
-  /// event, `when` must respect the lookahead bound (when >= sender now +
-  /// lookahead) and the returned handle is inert (the event commits at the
-  /// next window barrier); otherwise this behaves like schedule_at.
-  EventHandle schedule_on(std::uint32_t shard, SimTime when,
-                          std::function<void()> fn);
-
-  /// Schedule a *global* event: it runs at exactly `when` with every shard
-  /// paused, before any shard event at the same timestamp. Use for actions
-  /// that mutate state shared across shards (fault scripts, partitions).
-  /// With one shard this is exactly schedule_at.
-  void schedule_global_at(SimTime when, std::function<void()> fn);
-  void schedule_global_after(SimDuration delay, std::function<void()> fn);
 
   /// Run events until the queue drains or `deadline` passes. The clock ends
   /// at min(deadline, last event time). Returns the number of events fired.
@@ -169,43 +70,18 @@ class Engine {
   /// Run until the queue is empty.
   std::int64_t run() { return run_until(kTimeNever); }
 
-  /// Advance by one unit of progress bounded by `deadline`: one event on a
-  /// single-shard engine; one lookahead window (or one global-event batch)
-  /// on a sharded one. Returns false when nothing was due. Callers polling
-  /// state between events (Grid::run_until_app_done) use this.
-  bool run_chunk(SimTime deadline = kTimeNever);
-
-  /// Fire exactly one event if any is due before `deadline`. Returns false
-  /// when nothing fired. Single-shard engines only.
+  /// Fire exactly one event if any is due at or before `deadline`. Returns
+  /// false when nothing fired. Callers polling state between events
+  /// (Grid::run_until_app_done) use this.
   bool step(SimTime deadline = kTimeNever);
 
-  [[nodiscard]] bool empty() const;
-  [[nodiscard]] std::size_t pending() const;
-  [[nodiscard]] std::int64_t events_fired() const;
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
+  [[nodiscard]] std::int64_t events_fired() const { return fired_; }
 
-  /// Cancellation slots currently allocated across shards (live events +
-  /// free lists); the slab's high-water mark, for allocation-regression
-  /// tests.
-  [[nodiscard]] std::size_t slot_capacity() const;
-
-  /// Per-shard introspection (tests, benches).
-  [[nodiscard]] SimTime shard_now(std::uint32_t shard) const;
-  [[nodiscard]] std::size_t shard_pending(std::uint32_t shard) const;
-  [[nodiscard]] std::int64_t shard_events_fired(std::uint32_t shard) const;
-  /// Lookahead windows executed (0 on single-shard engines).
-  [[nodiscard]] std::int64_t windows_run() const { return windows_run_; }
-  /// Windows that actually carried cross-shard sends (the rest skip the
-  /// commit rendezvous entirely).
-  [[nodiscard]] std::int64_t windows_committed() const {
-    return windows_committed_;
-  }
-  /// Wall-clock nanoseconds spent in window commits (barrier-exit through
-  /// cancel/clock/global tail). Diagnostic only — never feeds sim state.
-  [[nodiscard]] std::int64_t commit_ns() const { return commit_ns_; }
-  /// Total capacity of the per-shard commit arenas (merge scratch + cross-
-  /// shard outboxes + cancel/global buffers), for steady-state allocation
-  /// regression tests: it must stop growing once traffic patterns repeat.
-  [[nodiscard]] std::size_t commit_scratch_capacity() const;
+  /// Cancellation slots currently allocated (live events + free list); the
+  /// slab's high-water mark, for allocation-regression tests.
+  [[nodiscard]] std::size_t slot_capacity() const { return slots_.size(); }
 
  private:
   friend class EventHandle;
@@ -230,132 +106,31 @@ class Engine {
     bool cancelled = false;
   };
 
-  /// A cross-shard event awaiting its window-barrier commit. Ordered by
-  /// (when, src_shard, src_seq) — the deterministic merge key.
-  struct RemoteEvent {
-    SimTime when;
-    std::uint32_t src_shard;
-    std::uint64_t src_seq;
-    std::function<void()> fn;
-  };
-
-  struct RemoteCancel {
-    std::uint32_t shard;  // target
-    std::uint32_t slot;
-    std::uint32_t generation;
-  };
-
-  struct GlobalEvent {
-    SimTime when;
-    std::uint64_t seq;
-    std::function<void()> fn;
-
-    GlobalEvent(SimTime w, std::uint64_t s, std::function<void()> f)
-        : when(w), seq(s), fn(std::move(f)) {}
-    GlobalEvent(const GlobalEvent&) = delete;
-    GlobalEvent& operator=(const GlobalEvent&) = delete;
-    GlobalEvent(GlobalEvent&&) = default;
-    GlobalEvent& operator=(GlobalEvent&&) = default;
-  };
-
-  struct Shard {
-    SimTime now = 0;
-    std::uint64_t next_seq = 0;
-    std::int64_t fired = 0;
-    std::vector<Event> heap;  // min-heap ordered by (when, seq)
-    std::vector<Slot> slots;
-    std::vector<std::uint32_t> free_slots;
-    std::size_t cancelled_pending = 0;  // cancelled events still in heap
-    // Window-local buffers, written only by the worker executing this
-    // shard; committed at the fused rendezvous. All are long-lived arenas:
-    // clear() retains capacity, so steady-state windows allocate nothing.
-    std::vector<std::vector<RemoteEvent>> outbox;  // [dst shard]
-    std::uint64_t remote_seq = 0;
-    std::uint32_t outbox_pending = 0;  // remote events buffered this window
-    std::vector<RemoteCancel> cancel_outbox;
-    std::vector<GlobalEvent> global_outbox;
-    // Commit arena owned by this shard *as a destination*: the worker that
-    // owns shard `dst` merges every source's outbox[dst] here.
-    std::vector<RemoteEvent> merge_scratch;
-  };
-
-  // Fused-rendezvous worker pool. All barrier counters are monotonic (a
-  // participant adds 1 per window), so the barrier can be re-used across
-  // windows without a reset racing a late spinner: the target for window
-  // generation G is simply G * team.
-  struct WorkerPool {
-    std::vector<std::thread> threads;
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::uint64_t generation = 0;  // guarded by mutex
-    bool shutdown = false;
-    SimTime horizon = 0;  // published under mutex before each window
-    std::atomic<std::uint64_t> arrived{0};  // phase A: window execution done
-    // Phase B ticket, published by the coordinator once every participant
-    // arrived: generation * 2 | (1 if this window carries cross-shard
-    // sends). Workers spin on it instead of re-deriving the decision from
-    // shard state the coordinator may already be recycling.
-    std::atomic<std::uint64_t> phase_b{0};
-    std::atomic<std::uint64_t> committed{0};  // phase B: per-dst commits done
-    std::uint64_t remote_windows = 0;  // coordinator-only commit-window count
-  };
-
   [[nodiscard]] static bool earlier(const Event& a, const Event& b) {
     return a.when != b.when ? a.when < b.when : a.seq < b.seq;
   }
-  void sift_up(Shard& shard, std::size_t i);
-  void sift_down(Shard& shard, std::size_t i);
-  void pop_root(Shard& shard);
+  void sift_up(std::size_t i);
+  void sift_down(std::size_t i);
+  void pop_root();
 
-  std::uint32_t acquire_slot(Shard& shard);
-  void release_slot(Shard& shard, std::uint32_t slot);
-  void cancel_slot(std::uint32_t shard, std::uint32_t slot,
-                   std::uint32_t generation);
-  void apply_cancel(Shard& shard, std::uint32_t slot, std::uint32_t generation);
-  [[nodiscard]] bool slot_active(std::uint32_t shard, std::uint32_t slot,
+  std::uint32_t acquire_slot();
+  void release_slot(std::uint32_t slot);
+  void cancel_slot(std::uint32_t slot, std::uint32_t generation);
+  [[nodiscard]] bool slot_active(std::uint32_t slot,
                                  std::uint32_t generation) const;
-  void compact(Shard& shard);
+  void compact();
 
-  /// The shard schedule_at/schedule_after target right now.
-  [[nodiscard]] std::uint32_t ambient_shard() const;
-  EventHandle schedule_on_shard(Shard& shard, std::uint32_t shard_index,
-                                SimTime when, std::function<void()> fn);
-
-  /// Time of the shard's earliest live event (draining tombstones), or
-  /// kTimeNever. Coordinator-only: mutates the heap.
-  SimTime next_live_time(Shard& shard);
-  [[nodiscard]] SimTime next_global_time() const;
-
-  void run_shard_window(std::uint32_t shard_index, SimTime horizon);
-  void run_window_fused(SimTime horizon);
-  [[nodiscard]] bool any_remote_pending() const;
-  void commit_destination(std::size_t dst);
-  void commit_tail();
-  void fire_global_batch(SimTime at);
-  void start_workers();
-  void stop_workers();
-  void worker_loop(std::size_t worker_index);
-
-  SimDuration lookahead_ = 0;
-  std::size_t threads_ = 1;
-  /// Committed global time: every shard has executed all events strictly
-  /// before any still-pending one, and main-thread observers see this.
-  SimTime committed_now_ = 0;
-  std::int64_t windows_run_ = 0;
-  std::int64_t windows_committed_ = 0;
-  std::int64_t commit_ns_ = 0;
-  bool in_window_ = false;  // a parallel window is executing
-
-  std::vector<Shard> shards_;
-  std::vector<GlobalEvent> global_heap_;  // min-heap by (when, seq)
-  std::uint64_t next_global_seq_ = 0;
-  std::int64_t global_fired_ = 0;
-  std::unique_ptr<WorkerPool> pool_;
+  SimTime now_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::int64_t fired_ = 0;
+  std::vector<Event> heap_;  // min-heap ordered by (when, seq)
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::size_t cancelled_pending_ = 0;  // cancelled events still in heap
 };
 
 /// Repeating timer built on Engine: fires `fn` every `period` starting at
-/// `start`, until stopped or the owner is destroyed. The timer is pinned to
-/// the shard that was ambient when start() ran.
+/// `start`, until stopped or the owner is destroyed.
 class PeriodicTimer {
  public:
   PeriodicTimer() = default;

@@ -17,16 +17,6 @@ std::pair<SegmentId, SegmentId> normalized(SegmentId a, SegmentId b) {
 
 FaultInjector::FaultInjector(Engine& engine, Network& network, Rng rng)
     : engine_(engine), network_(network), rng_(rng) {
-  const std::size_t shards = engine_.shard_count();
-  plan_stats_.resize(shards);
-  if (shards > 1) {
-    // Named streams (ids from 1; 0 reserved for the base stream): stream s
-    // depends only on the injector Rng state and s, so shard-local draws
-    // cannot reorder across thread counts.
-    plan_rng_.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s)
-      plan_rng_.push_back(rng_.stream(s + 1));
-  }
   network_.set_faults(this);
 }
 
@@ -38,29 +28,16 @@ void FaultInjector::set_endpoint_handlers(EndpointHandler on_crash,
   on_restart_ = std::move(on_restart);
 }
 
-void FaultInjector::invoke_handler(const EndpointHandler& handler,
-                                   EndpointId endpoint) {
-  // Handlers drive middleware lifecycle (Lrm::crash()/restart()) which
-  // schedules follow-up events; those belong on the endpoint's home shard,
-  // not on whatever context the fault fired in.
-  if (engine_.shard_count() > 1 && network_.attached(endpoint)) {
-    Engine::ShardScope scope(engine_, network_.shard_of_endpoint(endpoint));
-    handler(endpoint);
-    return;
-  }
-  handler(endpoint);
-}
-
 void FaultInjector::crash_endpoint(EndpointId endpoint) {
   if (!down_endpoints_.insert(endpoint).second) return;  // already down
   ++stats_.crashes;
-  if (on_crash_) invoke_handler(on_crash_, endpoint);
+  if (on_crash_) on_crash_(endpoint);
 }
 
 void FaultInjector::restart_endpoint(EndpointId endpoint) {
   if (down_endpoints_.erase(endpoint) == 0) return;  // was not down
   ++stats_.restarts;
-  if (on_restart_) invoke_handler(on_restart_, endpoint);
+  if (on_restart_) on_restart_(endpoint);
 }
 
 void FaultInjector::partition(SegmentId a, SegmentId b) {
@@ -89,10 +66,8 @@ bool FaultInjector::reachable(SegmentId a, SegmentId b) const {
 }
 
 void FaultInjector::run(const FaultScript& script) {
-  // Globals: fault state is read by every shard, so mutations execute with
-  // the shards paused. On a single-shard engine this is a plain event.
   for (const FaultEvent& event : script) {
-    engine_.schedule_global_at(event.at, [this, event] { apply(event); });
+    engine_.schedule_at(event.at, [this, event] { apply(event); });
   }
 }
 
@@ -102,8 +77,8 @@ void FaultInjector::apply(const FaultEvent& event) {
     case Kind::kCrash:
       crash_endpoint(event.endpoint);
       if (event.duration > 0) {
-        engine_.schedule_global_after(
-            event.duration, [this, ep = event.endpoint] { restart_endpoint(ep); });
+        engine_.schedule_after(event.duration,
+                               [this, ep = event.endpoint] { restart_endpoint(ep); });
       }
       break;
     case Kind::kRestart:
@@ -112,8 +87,8 @@ void FaultInjector::apply(const FaultEvent& event) {
     case Kind::kPartition:
       partition(event.a, event.b);
       if (event.duration > 0) {
-        engine_.schedule_global_after(
-            event.duration, [this, a = event.a, b = event.b] { heal(a, b); });
+        engine_.schedule_after(event.duration,
+                               [this, a = event.a, b = event.b] { heal(a, b); });
       }
       break;
     case Kind::kHeal:
@@ -122,8 +97,8 @@ void FaultInjector::apply(const FaultEvent& event) {
     case Kind::kUplinkDown:
       set_uplink_down(event.a, true);
       if (event.duration > 0) {
-        engine_.schedule_global_after(
-            event.duration, [this, a = event.a] { set_uplink_down(a, false); });
+        engine_.schedule_after(event.duration,
+                               [this, a = event.a] { set_uplink_down(a, false); });
       }
       break;
     case Kind::kUplinkUp:
@@ -151,8 +126,8 @@ void FaultInjector::enable_crash_churn(std::vector<EndpointId> pool,
   churn_mean_downtime_ = mean_downtime;
   churn_until_ = until;
   const double mean_gap_s = 60.0 / churn_per_minute_;
-  engine_.schedule_global_after(from_seconds(rng_.exponential(mean_gap_s)),
-                                [this] { churn_tick(); });
+  engine_.schedule_after(from_seconds(rng_.exponential(mean_gap_s)),
+                         [this] { churn_tick(); });
 }
 
 void FaultInjector::churn_tick() {
@@ -170,80 +145,56 @@ void FaultInjector::churn_tick() {
     const SimDuration downtime = std::max<SimDuration>(
         kSecond, from_seconds(rng_.exponential(to_seconds(churn_mean_downtime_))));
     crash_endpoint(victim);
-    engine_.schedule_global_after(downtime,
-                                  [this, victim] { restart_endpoint(victim); });
+    engine_.schedule_after(downtime, [this, victim] { restart_endpoint(victim); });
   }
   const double mean_gap_s = 60.0 / churn_per_minute_;
-  engine_.schedule_global_after(from_seconds(rng_.exponential(mean_gap_s)),
-                                [this] { churn_tick(); });
+  engine_.schedule_after(from_seconds(rng_.exponential(mean_gap_s)),
+                         [this] { churn_tick(); });
 }
 
 FaultInjector::SendPlan FaultInjector::plan_send(EndpointId src,
                                                  SegmentId src_segment,
                                                  EndpointId dst,
                                                  SegmentId dst_segment) {
-  // Shard-local counters and Rng stream: plan_send runs inside shard
-  // windows, possibly on several threads at once; everything it mutates
-  // belongs to the executing shard. (Fault *state* reads — down endpoints,
-  // partitions, knobs — are safe: mutations only happen in global events
-  // with the shards paused.)
-  const std::uint32_t shard = engine_.current_shard();
-  assert(shard < plan_stats_.size());
-  FaultStats& stats = plan_stats_[shard];
-  Rng& rng = plan_rng_.empty() ? rng_ : plan_rng_[shard];
-
   SendPlan plan;
   if (endpoint_down(src) || endpoint_down(dst)) {
-    ++stats.endpoint_drops;
+    ++stats_.endpoint_drops;
     plan.copies = 0;
     return plan;
   }
   if (!reachable(src_segment, dst_segment)) {
-    ++stats.partition_drops;
+    ++stats_.partition_drops;
     plan.copies = 0;
     return plan;
   }
   // Draw only for perturbations that are actually on, so e.g. a pure
   // crash-churn scenario consumes no loss/dup randomness.
-  if (loss_ > 0.0 && rng.bernoulli(loss_)) {
-    ++stats.loss_drops;
+  if (loss_ > 0.0 && rng_.bernoulli(loss_)) {
+    ++stats_.loss_drops;
     plan.copies = 0;
     return plan;
   }
-  if (duplication_ > 0.0 && rng.bernoulli(duplication_)) {
-    ++stats.duplicates;
+  if (duplication_ > 0.0 && rng_.bernoulli(duplication_)) {
+    ++stats_.duplicates;
     plan.copies = 2;
   }
   if (delay_mean_ > 0) {
-    plan.extra_delay = from_seconds(rng.exponential(to_seconds(delay_mean_)));
-    if (plan.extra_delay > 0) ++stats.delayed;
+    plan.extra_delay = from_seconds(rng_.exponential(to_seconds(delay_mean_)));
+    if (plan.extra_delay > 0) ++stats_.delayed;
   }
   return plan;
 }
 
-FaultStats FaultInjector::stats() const {
-  FaultStats total = stats_;  // control-plane counters (crashes, partitions…)
-  for (const FaultStats& shard : plan_stats_) {
-    total.endpoint_drops += shard.endpoint_drops;
-    total.partition_drops += shard.partition_drops;
-    total.loss_drops += shard.loss_drops;
-    total.duplicates += shard.duplicates;
-    total.delayed += shard.delayed;
-  }
-  return total;
-}
-
 void FaultInjector::export_metrics(MetricRegistry& out) const {
-  const FaultStats total = stats();
-  out.counter("crashes").add(total.crashes);
-  out.counter("restarts").add(total.restarts);
-  out.counter("partitions").add(total.partitions);
-  out.counter("heals").add(total.heals);
-  out.counter("endpoint_drops").add(total.endpoint_drops);
-  out.counter("partition_drops").add(total.partition_drops);
-  out.counter("loss_drops").add(total.loss_drops);
-  out.counter("duplicates").add(total.duplicates);
-  out.counter("delayed").add(total.delayed);
+  out.counter("crashes").add(stats_.crashes);
+  out.counter("restarts").add(stats_.restarts);
+  out.counter("partitions").add(stats_.partitions);
+  out.counter("heals").add(stats_.heals);
+  out.counter("endpoint_drops").add(stats_.endpoint_drops);
+  out.counter("partition_drops").add(stats_.partition_drops);
+  out.counter("loss_drops").add(stats_.loss_drops);
+  out.counter("duplicates").add(stats_.duplicates);
+  out.counter("delayed").add(stats_.delayed);
 }
 
 }  // namespace integrade::sim

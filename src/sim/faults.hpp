@@ -18,15 +18,6 @@
 // same lost messages, same event trace. With no injector installed the
 // Network's behaviour — including its Rng consumption — is exactly what it
 // was before this subsystem existed.
-//
-// Sharding: fault *state* (crashed endpoints, partitions, loss knobs) is
-// read by every shard on every send, so all mutations run as engine global
-// events — scripts, churn ticks, and auto-heals execute with the shards
-// paused, and no shard can observe a half-applied fault. Per-message draws
-// in plan_send(), by contrast, happen inside shard windows; they use one
-// named Rng stream and one counter block per shard, so draws on one shard
-// can never reorder draws on another regardless of thread count. With a
-// single shard the base Rng serves every draw — historical byte behaviour.
 #pragma once
 
 #include <cstdint>
@@ -145,10 +136,7 @@ class FaultInjector {
   [[nodiscard]] SendPlan plan_send(EndpointId src, SegmentId src_segment,
                                    EndpointId dst, SegmentId dst_segment);
 
-  /// Aggregate over the control-plane counters and every shard's
-  /// message-perturbation counters (by value: the per-shard split is an
-  /// implementation detail of the parallel kernel).
-  [[nodiscard]] FaultStats stats() const;
+  [[nodiscard]] FaultStats stats() const { return stats_; }
 
   /// Fill `out` with the fault counters under stable names — the shape the
   /// observability hub's snapshot expects (register via
@@ -158,15 +146,10 @@ class FaultInjector {
  private:
   void apply(const FaultEvent& event);
   void churn_tick();
-  void invoke_handler(const EndpointHandler& handler, EndpointId endpoint);
 
   Engine& engine_;
   Network& network_;
   Rng rng_;
-  // Per-shard streams/counters for plan_send (empty / single entry when the
-  // engine runs one shard — then the base rng_ serves every draw).
-  std::vector<Rng> plan_rng_;
-  std::vector<FaultStats> plan_stats_;
 
   std::unordered_set<EndpointId> down_endpoints_;
   std::set<std::pair<SegmentId, SegmentId>> partitions_;  // normalized a < b

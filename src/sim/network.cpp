@@ -7,28 +7,10 @@
 
 namespace integrade::sim {
 
-void Network::configure_shards() {
-  const std::size_t shards = engine_.shard_count();
-  assert(stats().messages == 0 && "shard layout must precede traffic");
-  counters_.assign(shards, ShardState{});
-  for (ShardState& state : counters_)
-    state.segment_bytes.assign(segments_.size(), 0);
-  shard_rng_.clear();
-  if (shards > 1) {
-    // Named streams (not fork()): stream s is a pure function of the base
-    // Rng state and s, so shard draws can never reorder across thread
-    // counts. Stream ids start at 1; 0 is reserved for the base stream.
-    shard_rng_.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s)
-      shard_rng_.push_back(rng_.stream(s + 1));
-  }
-}
-
 SegmentId Network::add_segment(SegmentSpec spec) {
   assert(spec.bandwidth > 0 && spec.uplink_bandwidth > 0);
   segments_.push_back(std::move(spec));
-  segment_endpoints_.push_back(0);
-  for (ShardState& state : counters_) state.segment_bytes.push_back(0);
+  segment_bytes_.push_back(0);
   return static_cast<SegmentId>(segments_.size() - 1);
 }
 
@@ -36,7 +18,6 @@ void Network::attach(EndpointId endpoint, SegmentId segment) {
   assert(segment >= 0 && static_cast<std::size_t>(segment) < segments_.size());
   assert(!endpoint_segment_.contains(endpoint) && "endpoint already attached");
   endpoint_segment_[endpoint] = segment;
-  ++segment_endpoints_[static_cast<std::size_t>(segment)];
 }
 
 bool Network::attached(EndpointId endpoint) const {
@@ -53,46 +34,7 @@ const SegmentSpec& Network::segment(SegmentId id) const {
   return segments_.at(static_cast<std::size_t>(id));
 }
 
-std::uint32_t Network::shard_of_segment(SegmentId id) const {
-  assert(id >= 0 && static_cast<std::size_t>(id) < segments_.size());
-  return static_cast<std::uint32_t>(static_cast<std::size_t>(id) %
-                                    engine_.shard_count());
-}
-
-std::uint32_t Network::shard_of_endpoint(EndpointId endpoint) const {
-  return shard_of_segment(segment_of(endpoint));
-}
-
-SimDuration Network::min_cross_shard_latency() const {
-  // Effective per-shard-pair bound: a segment pair only constrains the
-  // lookahead if a message could actually traverse it (both ends have
-  // attached endpoints) and its path latency is taken post-clamp, because
-  // send() raises every inter-segment delivery to the floor. A segment that
-  // later *gains* endpoints only appears via Grid::add_cluster, which
-  // recomputes the bound; detaches mid-run merely leave the bound
-  // conservative.
-  SimDuration bound = kTimeNever;
-  for (std::size_t i = 0; i < segments_.size(); ++i) {
-    if (segment_endpoints_[i] == 0) continue;
-    for (std::size_t j = i + 1; j < segments_.size(); ++j) {
-      if (segment_endpoints_[j] == 0) continue;
-      const auto a = static_cast<SegmentId>(i);
-      const auto b = static_cast<SegmentId>(j);
-      if (shard_of_segment(a) == shard_of_segment(b)) continue;
-      const SimDuration path = segments_[i].latency + segments_[i].uplink_latency +
-                               segments_[j].uplink_latency + segments_[j].latency;
-      bound = std::min(bound, std::max(path, latency_floor_));
-    }
-  }
-  return bound;
-}
-
-void Network::detach(EndpointId endpoint) {
-  auto it = endpoint_segment_.find(endpoint);
-  if (it == endpoint_segment_.end()) return;
-  --segment_endpoints_[static_cast<std::size_t>(it->second)];
-  endpoint_segment_.erase(it);
-}
+void Network::detach(EndpointId endpoint) { endpoint_segment_.erase(endpoint); }
 
 BytesPerSec Network::path_bandwidth(EndpointId a, EndpointId b) const {
   const SegmentId sa = segment_of(a);
@@ -132,28 +74,16 @@ void Network::send(EndpointId src, EndpointId dst, Bytes bytes,
   const BytesPerSec bw = path_bandwidth(src, dst);
   const SimDuration latency = path_latency(src, dst);
 
-  // Shard-local jitter stream and counters: the only state send() mutates
-  // belongs to the shard executing it, so parallel windows never race.
-  const std::uint32_t shard = engine_.current_shard();
-  assert(shard < counters_.size() && "Network::configure_shards not called");
-  Rng& jitter_rng = shard_rng_.empty() ? rng_ : shard_rng_[shard];
-
   double transfer_s = static_cast<double>(bytes) / bw;
-  if (jitter_ > 0.0) transfer_s *= 1.0 + jitter_rng.uniform(0.0, jitter_);
-  SimDuration delay = latency + from_seconds(transfer_s) + plan.extra_delay;
-  // Inter-segment floor: a WAN-class topology promises that nothing crosses
-  // segment boundaries faster than this, which is what lets the engine use
-  // it as a lookahead bound. Applied identically on single- and multi-shard
-  // engines so the simulated workload never depends on the shard layout.
-  if (sa != sb && delay < latency_floor_) delay = latency_floor_;
+  if (jitter_ > 0.0) transfer_s *= 1.0 + rng_.uniform(0.0, jitter_);
+  const SimDuration delay = latency + from_seconds(transfer_s) + plan.extra_delay;
 
-  ShardState& counters = counters_[shard];
-  ++counters.stats.messages;
-  counters.stats.bytes += bytes;
-  counters.segment_bytes[static_cast<std::size_t>(sa)] += bytes;
+  ++stats_.messages;
+  stats_.bytes += bytes;
+  segment_bytes_[static_cast<std::size_t>(sa)] += bytes;
   if (sa != sb) {
-    counters.segment_bytes[static_cast<std::size_t>(sb)] += bytes;
-    counters.backbone_bytes += bytes;
+    segment_bytes_[static_cast<std::size_t>(sb)] += bytes;
+    backbone_bytes_ += bytes;
   }
 
   auto deliver = [this, src, dst](const std::function<void()>& fn) {
@@ -168,41 +98,13 @@ void Network::send(EndpointId src, EndpointId dst, Bytes bytes,
     fn();
   };
 
-  // Deliveries land on the destination's shard; when that differs from the
-  // executing shard the engine buffers the event and commits it at the next
-  // window barrier in deterministic (when, src shard, seq) order. With one
-  // shard this is exactly the historical schedule_after.
-  const std::uint32_t dst_shard = shard_of_segment(sb);
   const SimTime arrival = engine_.now() + delay;
   if (plan.copies > 1) {
     // Duplicate copy shares the delivery predicate but not the closure.
-    engine_.schedule_on(dst_shard, arrival,
-                        [deliver, fn = on_delivered] { deliver(fn); });
+    engine_.schedule_at(arrival, [deliver, fn = on_delivered] { deliver(fn); });
   }
-  engine_.schedule_on(dst_shard, arrival,
+  engine_.schedule_at(arrival,
                       [deliver, fn = std::move(on_delivered)] { deliver(fn); });
-}
-
-NetworkStats Network::stats() const {
-  NetworkStats total;
-  for (const ShardState& state : counters_) {
-    total.messages += state.stats.messages;
-    total.bytes += state.stats.bytes;
-  }
-  return total;
-}
-
-std::int64_t Network::bytes_on_segment(SegmentId id) const {
-  std::int64_t total = 0;
-  for (const ShardState& state : counters_)
-    total += state.segment_bytes.at(static_cast<std::size_t>(id));
-  return total;
-}
-
-std::int64_t Network::backbone_bytes() const {
-  std::int64_t total = 0;
-  for (const ShardState& state : counters_) total += state.backbone_bytes;
-  return total;
 }
 
 }  // namespace integrade::sim

@@ -9,19 +9,8 @@
 //
 // Delivery time = path latency + message_bytes / path_bandwidth (+ jitter).
 // Per-endpoint and per-segment byte counters feed the E2 overhead bench.
-//
-// Sharding: when the engine runs multiple shards, each segment is assigned
-// to a shard (round-robin by segment id — a pure function of topology, so
-// the layout never depends on thread count) and deliveries are scheduled
-// onto the *destination* endpoint's shard. min_cross_shard_latency() gives
-// the engine its conservative lookahead bound: no message between segments
-// on different shards can arrive faster than the smallest inter-segment
-// path latency. Jitter draws and traffic counters are per shard (named RNG
-// streams, summed counters) so parallel sends stay deterministic and
-// race-free.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -56,15 +45,7 @@ struct NetworkStats {
 
 class Network {
  public:
-  Network(Engine& engine, Rng rng) : engine_(engine), rng_(rng) {
-    counters_.resize(1);
-  }
-
-  /// Size per-shard jitter streams and counters to the engine's shard
-  /// layout. Grid calls this right after Engine::configure_shards; it must
-  /// run before any traffic flows. With one shard the base Rng is used
-  /// directly, preserving historical byte-for-byte behaviour.
-  void configure_shards();
+  Network(Engine& engine, Rng rng) : engine_(engine), rng_(rng) {}
 
   SegmentId add_segment(SegmentSpec spec);
 
@@ -75,36 +56,6 @@ class Network {
   [[nodiscard]] SegmentId segment_of(EndpointId endpoint) const;
   [[nodiscard]] const SegmentSpec& segment(SegmentId id) const;
   [[nodiscard]] std::size_t segment_count() const { return segments_.size(); }
-
-  /// Shard owning a segment's (or endpoint's) events: segment id modulo the
-  /// engine's shard count — fixed by topology, never by thread count.
-  [[nodiscard]] std::uint32_t shard_of_segment(SegmentId id) const;
-  [[nodiscard]] std::uint32_t shard_of_endpoint(EndpointId endpoint) const;
-
-  /// Smallest possible delivery latency between segments owned by different
-  /// shards — the engine's conservative lookahead bound. Computed per
-  /// shard-pair from the *effective* topology: segment pairs where either
-  /// side has no attached endpoints are ignored (no message can use them),
-  /// and each pair's path latency is clamped up to the inter-segment floor,
-  /// because send() enforces that floor on the wire. Transfer time, jitter,
-  /// and fault delays only add to the path latency. kTimeNever when no
-  /// reachable segment pair spans two shards (single shard, or all
-  /// endpoint-bearing segments co-owned) — then no cross-shard message can
-  /// exist at all.
-  [[nodiscard]] SimDuration min_cross_shard_latency() const;
-
-  /// Minimum delivery delay for *inter-segment* traffic, independent of
-  /// shard layout: send() clamps every cross-segment delivery up to this
-  /// floor, so raising it is a property of the simulated topology (a WAN
-  /// segment class), not of the engine — legacy single-queue and sharded
-  /// runs see byte-identical traffic. Topology builders set it from
-  /// GridOptions::min_cross_shard_latency_floor to lift the lookahead bound
-  /// and widen execution windows. 0 (default) disables the clamp.
-  void set_latency_floor(SimDuration floor) {
-    assert(floor >= 0);
-    latency_floor_ = floor;
-  }
-  [[nodiscard]] SimDuration latency_floor() const { return latency_floor_; }
 
   /// Detach (machine unplugged / crashed). In-flight messages to it drop.
   void detach(EndpointId endpoint);
@@ -128,31 +79,22 @@ class Network {
   /// Relative jitter applied to transfer time, default 5%.
   void set_jitter(double fraction) { jitter_ = fraction; }
 
-  /// Aggregate over per-shard counters (by value: the per-shard split is an
-  /// implementation detail of the parallel kernel).
-  [[nodiscard]] NetworkStats stats() const;
-  [[nodiscard]] std::int64_t bytes_on_segment(SegmentId id) const;
-  [[nodiscard]] std::int64_t backbone_bytes() const;
+  [[nodiscard]] NetworkStats stats() const { return stats_; }
+  [[nodiscard]] std::int64_t bytes_on_segment(SegmentId id) const {
+    return segment_bytes_.at(static_cast<std::size_t>(id));
+  }
+  [[nodiscard]] std::int64_t backbone_bytes() const { return backbone_bytes_; }
 
  private:
-  /// Traffic counters and jitter stream for one shard; send() only ever
-  /// touches the ambient shard's entry, so parallel windows never contend.
-  struct ShardState {
-    NetworkStats stats;
-    std::int64_t backbone_bytes = 0;
-    std::vector<std::int64_t> segment_bytes;
-  };
-
   Engine& engine_;
   Rng rng_;
   FaultInjector* faults_ = nullptr;
   double jitter_ = 0.05;
-  SimDuration latency_floor_ = 0;  // inter-segment delivery clamp
   std::vector<SegmentSpec> segments_;
-  std::vector<std::int32_t> segment_endpoints_;  // attached count per segment
   std::unordered_map<EndpointId, SegmentId> endpoint_segment_;
-  std::vector<ShardState> counters_;  // one per shard (single entry default)
-  std::vector<Rng> shard_rng_;        // named streams; empty when single-shard
+  NetworkStats stats_;
+  std::int64_t backbone_bytes_ = 0;
+  std::vector<std::int64_t> segment_bytes_;
 };
 
 }  // namespace integrade::sim

@@ -170,5 +170,23 @@ TEST(GridSandbox, PerNodeSandboxSteersWorkElsewhere) {
                                       grid.engine().now() + kHour));
 }
 
+TEST(GridClock, RunForSaturatesNearTimeMax) {
+  Grid grid(3);
+  grid.run_for(10);
+  const SimTime before = grid.engine().now();
+  EXPECT_EQ(before, 10);
+  // Historically `now + d` overflowed to a negative deadline here and the
+  // run was skipped (or worse, UB). The deadline must saturate to
+  // kTimeNever: the engine drains whatever is pending and the clock never
+  // goes backwards.
+  grid.run_for(kTimeNever - 5);
+  EXPECT_GE(grid.engine().now(), before);
+  // The engine is still usable after the saturated run.
+  bool fired = false;
+  grid.engine().schedule_after(5, [&fired] { fired = true; });
+  grid.run_for(10);
+  EXPECT_TRUE(fired);
+}
+
 }  // namespace
 }  // namespace integrade::core

@@ -191,51 +191,18 @@ TEST(FaultsDeterminism, SameSeedSameDropPattern) {
   EXPECT_NE(trace(42), trace(43));
 }
 
-TEST(RngStreams, NamedStreamsAreOrderIndependentAndIsolated) {
-  // stream(id) is a pure function of (parent state, id): deriving siblings
-  // in any order, or drawing from one before deriving the other, must not
-  // change what the other produces. This is the property that lets each
-  // shard own private fault-plan and jitter streams.
-  const Rng base(42);
-  auto draws = [](Rng rng, int n) {
-    std::vector<std::uint64_t> out;
-    for (int i = 0; i < n; ++i) out.push_back(rng.next_u64());
-    return out;
-  };
-
-  const auto s1_fresh = draws(base.stream(1), 8);
-  const auto s2_fresh = draws(base.stream(2), 8);
-
-  // Derive s2 again after heavily drawing from s1 — identical sequence.
-  Rng s1 = base.stream(1);
-  for (int i = 0; i < 1000; ++i) (void)s1.next_u64();
-  EXPECT_EQ(draws(base.stream(2), 8), s2_fresh);
-  // And s1 derived after s2 is the same s1.
-  (void)base.stream(2);
-  EXPECT_EQ(draws(base.stream(1), 8), s1_fresh);
-
-  // Distinct ids give distinct streams, and none equals the parent.
-  EXPECT_NE(s1_fresh, s2_fresh);
-  EXPECT_NE(draws(base, 8), s1_fresh);
-}
-
 namespace {
 
-/// Two-shard network harness: endpoint 1 lives on shard 0, endpoint 2 on
-/// shard 1, with scripted cross-shard senders and per-destination delivery
-/// logs (each written only by the destination shard's worker).
-struct ShardedLossRun {
+/// Two-segment network harness with scripted senders in both directions and
+/// per-destination delivery logs.
+struct LossRun {
   std::vector<int> to_ep2;
   std::vector<int> to_ep1;
   std::int64_t drops = 0;
-
-  bool operator==(const ShardedLossRun&) const = default;
 };
 
-ShardedLossRun sharded_loss_run(std::size_t threads, double jitter) {
+LossRun loss_run(double jitter) {
   Engine engine;
-  engine.configure_shards(2);
-  engine.set_worker_threads(threads);
   Network network(engine, Rng(1));
   network.set_jitter(jitter);
   SegmentSpec lan;
@@ -245,53 +212,36 @@ ShardedLossRun sharded_loss_run(std::size_t threads, double jitter) {
   const SegmentId seg_b = network.add_segment(lan);
   network.attach(1, seg_a);
   network.attach(2, seg_b);
-  network.configure_shards();
-  engine.set_lookahead(network.min_cross_shard_latency());
 
   FaultInjector faults(engine, network, Rng(99));
   faults.set_loss(0.3);
 
-  ShardedLossRun out;
-  std::vector<std::vector<int>> delivered(2);
+  LossRun out;
   for (int i = 0; i < 150; ++i) {
-    {
-      Engine::ShardScope scope(engine, network.shard_of_segment(seg_a));
-      engine.schedule_at(1 + i * 10, [&network, &delivered, i] {
-        network.send(1, 2, 10, [&delivered, i] { delivered[1].push_back(i); });
-      });
-    }
-    {
-      Engine::ShardScope scope(engine, network.shard_of_segment(seg_b));
-      engine.schedule_at(1 + i * 10, [&network, &delivered, i] {
-        network.send(2, 1, 10, [&delivered, i] { delivered[0].push_back(i); });
-      });
-    }
+    engine.schedule_at(1 + i * 10, [&network, &out, i] {
+      network.send(1, 2, 10, [&out, i] { out.to_ep2.push_back(i); });
+    });
+    engine.schedule_at(1 + i * 10, [&network, &out, i] {
+      network.send(2, 1, 10, [&out, i] { out.to_ep1.push_back(i); });
+    });
   }
   engine.run();
-  out.to_ep2 = delivered[1];
-  out.to_ep1 = delivered[0];
   out.drops = faults.stats().loss_drops;
   return out;
 }
 
 }  // namespace
 
-TEST(FaultsDeterminism, ShardedDropPatternIsThreadCountInvariant) {
-  const ShardedLossRun t1 = sharded_loss_run(1, 0.0);
-  EXPECT_EQ(sharded_loss_run(2, 0.0), t1);
-  EXPECT_EQ(sharded_loss_run(4, 0.0), t1);
-  EXPECT_GT(t1.drops, 0);
-  EXPECT_FALSE(t1.to_ep1.empty());
-  EXPECT_FALSE(t1.to_ep2.empty());
-}
-
 TEST(FaultsDeterminism, LossPlanStreamIsIsolatedFromJitterStream) {
-  // On the legacy shared-Rng path, enabling jitter interleaves extra draws
-  // and scrambles the drop pattern. With per-shard named streams the loss
-  // plan must be untouched: the same messages drop whether or not jitter
-  // consumes randomness, only delivery times move.
-  const ShardedLossRun no_jitter = sharded_loss_run(1, 0.0);
-  const ShardedLossRun jitter = sharded_loss_run(1, 0.2);
+  // Jitter draws from the Network's own Rng and loss draws from the
+  // injector's, so enabling jitter must not touch the loss plan: the same
+  // messages drop whether or not jitter consumes randomness, only delivery
+  // times (and hence arrival order) move.
+  const LossRun no_jitter = loss_run(0.0);
+  const LossRun jitter = loss_run(0.2);
+  EXPECT_GT(no_jitter.drops, 0);
+  EXPECT_FALSE(no_jitter.to_ep1.empty());
+  EXPECT_FALSE(no_jitter.to_ep2.empty());
   EXPECT_EQ(no_jitter.drops, jitter.drops);
   auto sorted = [](std::vector<int> v) {
     std::sort(v.begin(), v.end());

@@ -290,66 +290,6 @@ TEST_F(NetworkFixture, StatsAccumulate) {
   EXPECT_EQ(network.backbone_bytes(), 500);
 }
 
-TEST_F(NetworkFixture, LatencyFloorClampsOnlyInterSegmentDeliveries) {
-  network.set_latency_floor(5 * kSecond);
-  SimTime inter = -1;
-  SimTime intra = -1;
-  // Raw inter-segment delay (1 s transfer + 2200 us path) is below the
-  // floor: delivery snaps up to exactly the floor.
-  network.send(1, 3, 1'250'000, [&] { inter = engine.now(); });
-  // Intra-segment traffic never sees the floor.
-  network.send(1, 2, 12'500'000, [&] { intra = engine.now(); });
-  engine.run();
-  EXPECT_EQ(inter, 5 * kSecond);
-  EXPECT_EQ(intra, kSecond + 100);
-}
-
-TEST_F(NetworkFixture, LatencyFloorNeverDelaysSlowerDeliveries) {
-  network.set_latency_floor(5 * kSecond);
-  SimTime delivered = -1;
-  // 12.5 MB across the 1.25 MB/s path takes 10 s — already past the floor,
-  // so the clamp is a no-op (max, not addition).
-  network.send(1, 3, 12'500'000, [&] { delivered = engine.now(); });
-  engine.run();
-  EXPECT_EQ(delivered, 10 * kSecond + 2200);
-}
-
-TEST(NetworkSharding, MinCrossShardLatencyHonoursFloorAndSkipsEmptySegments) {
-  Engine engine;
-  engine.configure_shards(2);
-  Network network(engine, Rng(1));
-  network.configure_shards();
-  network.set_jitter(0.0);
-  SegmentSpec lan;
-  lan.latency = 100;
-  lan.uplink_latency = 1000;
-  const SegmentId a = network.add_segment(lan);
-  const SegmentId b = network.add_segment(lan);
-  SegmentSpec fast = lan;
-  fast.latency = 1;
-  fast.uplink_latency = 1;
-  const SegmentId c = network.add_segment(fast);  // endpoint-less for now
-  network.attach(1, a);
-  network.attach(2, b);
-
-  // Only pairs where both segments have attached endpoints constrain the
-  // bound: the fast segment's 1102 us potential path does not count yet.
-  EXPECT_EQ(network.min_cross_shard_latency(), 2200);
-  // A floor below the minimum path changes nothing...
-  network.set_latency_floor(500);
-  EXPECT_EQ(network.min_cross_shard_latency(), 2200);
-  // ...while a floor above it lifts the bound to exactly the floor,
-  // because send() raises every inter-segment delivery to at least that.
-  network.set_latency_floor(kSecond);
-  EXPECT_EQ(network.min_cross_shard_latency(), kSecond);
-
-  // Once the fast segment gains an endpoint its (cross-shard) pair with b
-  // participates; with the floor cleared the bound drops to its path.
-  network.set_latency_floor(0);
-  network.attach(3, c);
-  EXPECT_EQ(network.min_cross_shard_latency(), 1102);
-}
-
 TEST(RngTest, DeterministicAcrossInstances) {
   Rng a(42);
   Rng b(42);

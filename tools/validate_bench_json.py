@@ -25,50 +25,6 @@ def fail(path, message):
     return 1
 
 
-# Per-bench structural requirements, beyond the generic shape rules. The
-# parsim file feeds CI's kernel-health gates, so its fields are pinned: a
-# rename there would silently disable the gates if this schema didn't exist.
-PARSIM_TOP_KEYS = {
-    "host_cores": int,
-    "sites": int,
-    "latency_floor_ms": (int, float),
-    "deterministic_across_threads": bool,
-    "events_per_window": (int, float),
-    "overhead_ratio": (int, float),
-}
-PARSIM_RUN_KEYS = {
-    "engine": str,
-    "shards": int,
-    "threads": int,
-    "wall_ms": (int, float),
-    "events": int,
-    "windows": int,
-    "windows_committed": int,
-    "events_per_window": (int, float),
-    "commit_ms": (int, float),
-    "completed": int,
-}
-
-
-def validate_parsim(path, doc):
-    for key, kind in PARSIM_TOP_KEYS.items():
-        if not isinstance(doc.get(key), kind) or isinstance(doc.get(key), bool) != (kind is bool):
-            return fail(path, f'parsim: "{key}" missing or not {kind}')
-    runs = doc.get("runs")
-    if not isinstance(runs, list) or not runs:
-        return fail(path, 'parsim: "runs" must be a non-empty list')
-    engines = set()
-    for i, run in enumerate(runs):
-        for key, kind in PARSIM_RUN_KEYS.items():
-            if not isinstance(run.get(key), kind) or isinstance(run.get(key), bool):
-                return fail(path, f'parsim: runs[{i}].{key} missing or not {kind}')
-        engines.add(run["engine"])
-    if not {"single-queue", "sharded"} <= engines:
-        return fail(path, "parsim: runs must cover both engines "
-                          "(single-queue reference and sharded)")
-    return 0
-
-
 # The failover file feeds CI's E16 gate (restore latency, exactly-once
 # execution, warm start); pin its fields so a rename cannot silently turn
 # the gate into a no-op.
@@ -266,8 +222,6 @@ def validate(path):
     if payloads == 0:
         return fail(path, "no measurement payload (no list-of-rows or object key)")
 
-    if name == "parsim" and validate_parsim(path, doc):
-        return 1
     if name == "failover" and validate_failover(path, doc):
         return 1
     if name == "bsp_churn" and validate_bsp_churn(path, doc):
