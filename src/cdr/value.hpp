@@ -74,6 +74,10 @@ class Value {
       data_;
 };
 
+/// Deepest list nesting a decoded Value may have (a scalar is depth 1, a
+/// list of scalars depth 2). Trader properties need 2; deeper frames fail.
+inline constexpr int kMaxValueDepth = 16;
+
 template <>
 struct Codec<Value> {
   static void encode(Writer& w, const Value& v);

@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "cdr/cdr.hpp"
@@ -33,12 +34,20 @@ struct Checkpoint {
   SimTime created_at = 0;
   std::vector<std::uint8_t> state;  // CDR-encoded application state
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.app, s.rank, s.version, s.created_at, s.state);
+  }
   bool operator==(const Checkpoint&) const = default;
 };
 
 /// Portable progress state for sequential/parametric tasks.
 struct SequentialState {
   MInstr work_done = 0;
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.work_done);
+  }
   bool operator==(const SequentialState&) const = default;
 };
 
@@ -95,39 +104,3 @@ class CheckpointRepository {
 };
 
 }  // namespace integrade::ckpt
-
-namespace integrade::cdr {
-
-template <>
-struct Codec<ckpt::SequentialState> {
-  static void encode(Writer& w, const ckpt::SequentialState& v) {
-    w.write_f64(v.work_done);
-  }
-  static ckpt::SequentialState decode(Reader& r) {
-    ckpt::SequentialState v;
-    v.work_done = r.read_f64();
-    return v;
-  }
-};
-
-template <>
-struct Codec<ckpt::Checkpoint> {
-  static void encode(Writer& w, const ckpt::Checkpoint& v) {
-    w.write_id(v.app);
-    w.write_i32(v.rank);
-    w.write_i64(v.version);
-    w.write_i64(v.created_at);
-    w.write_octets(v.state);
-  }
-  static ckpt::Checkpoint decode(Reader& r) {
-    ckpt::Checkpoint v;
-    v.app = r.read_id<AppTag>();
-    v.rank = r.read_i32();
-    v.version = r.read_i64();
-    v.created_at = r.read_i64();
-    v.state = r.read_octets();
-    return v;
-  }
-};
-
-}  // namespace integrade::cdr

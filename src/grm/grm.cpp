@@ -5,9 +5,9 @@
 #include <chrono>
 #include <map>
 
+#include "cdr/cdr.hpp"
 #include "common/log.hpp"
 #include "protocol/trace_names.hpp"
-#include "snapshot/state_codecs.hpp"
 
 namespace integrade::grm {
 
@@ -1542,16 +1542,14 @@ void Grm::save(cdr::Writer& w) const {
     w.write_i64(record.last_update);
   }
 
-  // encode_base: the spec's bid extension is a *wire* tail (detected via
-  // remaining()); in this nesting context the economy fields are written
-  // explicitly, version-gated, right after the base layout.
+  // The spec's base fields only: its bid extension is a *wire* tail
+  // (detected via remaining()); in this nesting context the economy fields
+  // are written explicitly, version-gated, right after the base layout.
   w.write_u32(static_cast<std::uint32_t>(apps_.size()));
   for (const auto& [_, app] : apps_) {
-    cdr::Codec<protocol::ApplicationSpec>::encode_base(w, app.spec);
+    cdr::write_fields(w, protocol::ApplicationSpec::fields(app.spec));
     if (sched_.enabled) {
-      w.write_string(app.spec.tenant);
-      w.write_f64(app.spec.bid_budget);
-      w.write_i64(app.spec.bid_deadline);
+      cdr::write_fields(w, protocol::ApplicationSpec::extension(app.spec));
     }
     w.write_bool(app.adopted_remote);
     cdr::Codec<orb::ObjectRef>::encode(w, app.origin);
@@ -1644,11 +1642,9 @@ Status Grm::load(std::uint32_t version, cdr::Reader& r) {
   const std::uint32_t n_apps = r.read_u32();
   for (std::uint32_t i = 0; i < n_apps && r.ok(); ++i) {
     AppRecord app;
-    app.spec = cdr::Codec<protocol::ApplicationSpec>::decode_base(r);
+    cdr::read_fields(r, protocol::ApplicationSpec::fields(app.spec));
     if (has_sched) {
-      app.spec.tenant = r.read_string();
-      app.spec.bid_budget = r.read_f64();
-      app.spec.bid_deadline = r.read_i64();
+      cdr::read_fields(r, protocol::ApplicationSpec::extension(app.spec));
     }
     app.adopted_remote = r.read_bool();
     app.origin = cdr::Codec<orb::ObjectRef>::decode(r);

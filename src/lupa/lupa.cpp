@@ -4,7 +4,7 @@
 #include <cassert>
 #include <cmath>
 
-#include "snapshot/state_codecs.hpp"
+#include "cdr/cdr.hpp"
 
 namespace integrade::lupa {
 

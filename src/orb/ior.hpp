@@ -7,6 +7,7 @@
 #pragma once
 
 #include <string>
+#include <tuple>
 
 #include "cdr/cdr.hpp"
 #include "common/types.hpp"
@@ -23,6 +24,10 @@ struct ObjectRef {
   std::string type_id;  // e.g. "IDL:integrade/Lrm:1.0"
 
   [[nodiscard]] bool valid() const { return key.valid(); }
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.host, s.key, s.type_id);
+  }
   bool operator==(const ObjectRef&) const = default;
 };
 
@@ -30,23 +35,3 @@ struct ObjectRef {
 inline ObjectRef nil_ref() { return ObjectRef{}; }
 
 }  // namespace integrade::orb
-
-namespace integrade::cdr {
-
-template <>
-struct Codec<orb::ObjectRef> {
-  static void encode(Writer& w, const orb::ObjectRef& ref) {
-    w.write_u64(ref.host);
-    w.write_id(ref.key);
-    w.write_string(ref.type_id);
-  }
-  static orb::ObjectRef decode(Reader& r) {
-    orb::ObjectRef ref;
-    ref.host = r.read_u64();
-    ref.key = r.read_id<ObjectTag>();
-    ref.type_id = r.read_string();
-    return ref;
-  }
-};
-
-}  // namespace integrade::cdr

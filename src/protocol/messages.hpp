@@ -9,13 +9,15 @@
 //   * Usage Pattern Protocol — LUPA uploads per-node behavioural categories
 //     to the GUPA; the GRM asks the GUPA for idleness forecasts.
 //
-// Every struct here has a CDR codec (messages.cpp) and is round-trip tested
-// in tests/protocol_test.cpp under both byte orders.
+// Every struct lists its wire fields once, in wire order, in `fields()`; the
+// generic cdr::Codec (cdr/cdr.hpp) derives encode and decode from that list.
+// tests/wire_golden_test.cpp pins the resulting bytes of every frame.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cdr/cdr.hpp"
@@ -56,6 +58,14 @@ struct NodeStatus {
   std::int32_t running_tasks = 0;
   SimTime timestamp = 0;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.node, s.lrm, s.hostname, s.cpu_mips, s.ram_total,
+                    s.disk_total, s.os, s.arch, s.platforms, s.segment,
+                    s.dedicated, s.owner_cpu, s.grid_cpu, s.exportable_cpu,
+                    s.free_ram, s.owner_present, s.shareable, s.running_tasks,
+                    s.timestamp);
+  }
   bool operator==(const NodeStatus&) const = default;
 };
 
@@ -75,6 +85,10 @@ struct NodeStatusBatch {
   std::uint64_t epoch = 0;
   std::vector<NodeStatus> updates;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.segment, s.epoch, s.updates);
+  }
   bool operator==(const NodeStatusBatch&) const = default;
 };
 
@@ -112,6 +126,14 @@ struct TaskDescriptor {
   /// Sequential/parametric tasks: periodic checkpoint cadence (0 = off).
   SimDuration checkpoint_period = 0;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.id, s.app, s.kind, s.binary_platform, s.work,
+                    s.ram_needed, s.input_bytes, s.output_bytes, s.bsp_rank,
+                    s.bsp_processes, s.bsp_supersteps,
+                    s.bsp_comm_bytes_per_step, s.checkpoint_every,
+                    s.checkpoint_bytes, s.checkpoint_period);
+  }
   bool operator==(const TaskDescriptor&) const = default;
 };
 
@@ -128,6 +150,10 @@ struct ResourceRequirements {
   std::string constraint;  // empty = match any shareable node
   std::string preference;  // empty = discovery order
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.constraint, s.preference);
+  }
   bool operator==(const ResourceRequirements&) const = default;
 };
 
@@ -136,6 +162,10 @@ struct TopologyGroup {
   std::int32_t nodes = 0;
   BytesPerSec min_intra_bandwidth = 0;  // within the group
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.nodes, s.min_intra_bandwidth);
+  }
   bool operator==(const TopologyGroup&) const = default;
 };
 
@@ -144,6 +174,10 @@ struct TopologySpec {
   BytesPerSec min_inter_bandwidth = 0;  // between any two groups
 
   [[nodiscard]] bool empty() const { return groups.empty(); }
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.groups, s.min_inter_bandwidth);
+  }
   bool operator==(const TopologySpec&) const = default;
 };
 
@@ -169,10 +203,15 @@ struct ApplicationSpec {
   double bid_budget = 0.0;
   SimDuration bid_deadline = 0;  // 0 = no deadline bid
 
-  [[nodiscard]] bool has_bid() const {
-    return !tenant.empty() || bid_budget != 0.0 || bid_deadline != 0;
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.id, s.name, s.kind, s.tasks, s.requirements, s.topology,
+                    s.estimated_duration, s.notify);
   }
-
+  template <class S>
+  static auto extension(S& s) {
+    return std::tie(s.tenant, s.bid_budget, s.bid_deadline);
+  }
   bool operator==(const ApplicationSpec&) const = default;
 };
 
@@ -181,6 +220,10 @@ struct SubmitReply {
   bool accepted = false;
   std::string reason;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.app, s.accepted, s.reason);
+  }
   bool operator==(const SubmitReply&) const = default;
 };
 
@@ -204,6 +247,10 @@ struct AppEvent {
   SimTime at = 0;
   std::string detail;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.app, s.task, s.kind, s.node, s.at, s.detail);
+  }
   bool operator==(const AppEvent&) const = default;
 };
 
@@ -218,6 +265,10 @@ struct BspComputeRequest {
   MInstr work = 0;
   orb::ObjectRef notify;  // coordinator; receives BspChunkDone
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.task, s.rank, s.superstep, s.work, s.notify);
+  }
   bool operator==(const BspComputeRequest&) const = default;
 };
 
@@ -227,16 +278,28 @@ struct BspChunkDone {
   std::int64_t superstep = 0;
   NodeId node;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.task, s.rank, s.superstep, s.node);
+  }
   bool operator==(const BspChunkDone&) const = default;
 };
 
 struct CancelTask {
   TaskId task;
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.task);
+  }
   bool operator==(const CancelTask&) const = default;
 };
 
 struct CancelApp {
   AppId app;
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.app);
+  }
   bool operator==(const CancelApp&) const = default;
 };
 
@@ -246,6 +309,10 @@ struct CancelApp {
 struct WorkReply {
   bool has_work = false;
   TaskDescriptor task;
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.has_work, s.task);
+  }
   bool operator==(const WorkReply&) const = default;
 };
 
@@ -266,6 +333,12 @@ struct ClusterSummary {
   std::vector<std::string> platforms;  // union over nodes
   SimTime timestamp = 0;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.cluster, s.grm, s.total_nodes, s.shareable_nodes,
+                    s.total_exportable_mips, s.max_free_ram_mb, s.platforms,
+                    s.timestamp);
+  }
   bool operator==(const ClusterSummary&) const = default;
 };
 
@@ -278,6 +351,17 @@ struct RemoteSubmit {
   std::vector<std::uint64_t> visited_clusters;
   orb::ObjectRef origin_grm;  // receives RemoteAdopted
 
+  /// The nested spec travels in its base layout; its bid rides this frame's
+  /// own trailing extension, after the fields an older peer reads.
+  template <class S>
+  static auto fields(S& s) {
+    return std::tuple_cat(ApplicationSpec::fields(s.spec),
+                          std::tie(s.ttl, s.visited_clusters, s.origin_grm));
+  }
+  template <class S>
+  static auto extension(S& s) {
+    return ApplicationSpec::extension(s.spec);
+  }
   bool operator==(const RemoteSubmit&) const = default;
 };
 
@@ -287,6 +371,10 @@ struct RemoteAdopted {
   ClusterId by_cluster;
   std::int32_t hops = 0;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.app, s.task, s.by_cluster, s.hops);
+  }
   bool operator==(const RemoteAdopted&) const = default;
 };
 
@@ -315,6 +403,14 @@ struct ReservationRequest {
     return !tenant.empty() || bid_budget != 0.0 || bid_deadline != 0;
   }
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.id, s.task, s.cpu_fraction, s.ram, s.hold);
+  }
+  template <class S>
+  static auto extension(S& s) {
+    return std::tie(s.tenant, s.bid_budget, s.bid_deadline);
+  }
   bool operator==(const ReservationRequest&) const = default;
 };
 
@@ -327,6 +423,10 @@ struct ReservationReply {
   double exportable_cpu = 0.0;
   Bytes free_ram = 0;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.id, s.granted, s.reason, s.exportable_cpu, s.free_ram);
+  }
   bool operator==(const ReservationReply&) const = default;
 };
 
@@ -347,6 +447,14 @@ struct ExecuteRequest {
   /// byte-invisible when empty.
   std::vector<orb::ObjectRef> ckpt_peers;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.reservation, s.task, s.report_to, s.restore_state);
+  }
+  template <class S>
+  static auto extension(S& s) {
+    return std::tie(s.ckpt_peers);
+  }
   bool operator==(const ExecuteRequest&) const = default;
 };
 
@@ -355,6 +463,10 @@ struct ExecuteReply {
   bool accepted = false;
   std::string reason;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.reservation, s.accepted, s.reason);
+  }
   bool operator==(const ExecuteReply&) const = default;
 };
 
@@ -374,6 +486,10 @@ struct TaskReport {
   MInstr work_done = 0;  // progress at the time of the report
   std::string detail;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.task, s.node, s.outcome, s.work_done, s.detail);
+  }
   bool operator==(const TaskReport&) const = default;
 };
 
@@ -387,6 +503,10 @@ struct PreemptRequest {
   TaskId task;
   std::vector<orb::ObjectRef> peers;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.task, s.peers);
+  }
   bool operator==(const PreemptRequest&) const = default;
 };
 
@@ -404,6 +524,10 @@ struct TaskResync {
   orb::ObjectRef lrm;  // negotiation endpoint, same as NodeStatus::lrm
   std::vector<TaskId> running;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.node, s.lrm, s.running);
+  }
   bool operator==(const TaskResync&) const = default;
 };
 
@@ -414,6 +538,10 @@ struct TaskResync {
 struct SnapshotInstall {
   std::vector<std::uint8_t> image;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.image);
+  }
   bool operator==(const SnapshotInstall&) const = default;
 };
 
@@ -421,6 +549,10 @@ struct SnapshotInstallReply {
   bool accepted = false;
   std::string reason;  // on rejection: why (sequencing gap, bad checksum...)
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.accepted, s.reason);
+  }
   bool operator==(const SnapshotInstallReply&) const = default;
 };
 
@@ -442,6 +574,10 @@ struct CkptChunkRef {
   CkptHash hash{};
   std::uint32_t raw_size = 0;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.hash, s.raw_size);
+  }
   bool operator==(const CkptChunkRef&) const = default;
 };
 
@@ -456,6 +592,11 @@ struct CkptManifest {
   std::uint64_t image_bytes = 0;
   std::vector<CkptChunkRef> chunks;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.app, s.rank, s.version, s.chunker, s.chunk_size,
+                    s.image_bytes, s.chunks);
+  }
   bool operator==(const CkptManifest&) const = default;
 };
 
@@ -464,6 +605,10 @@ struct CkptManifest {
 struct CkptManifestOffer {
   CkptManifest manifest;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.manifest);
+  }
   bool operator==(const CkptManifestOffer&) const = default;
 };
 
@@ -472,6 +617,10 @@ struct CkptChunkNeed {
   std::string reason;  // on rejection: version regression, malformed manifest
   std::vector<std::uint32_t> missing;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.accepted, s.reason, s.missing);
+  }
   bool operator==(const CkptChunkNeed&) const = default;
 };
 
@@ -482,6 +631,10 @@ struct CkptChunkData {
   std::uint32_t raw_size = 0;
   std::vector<std::uint8_t> payload;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.hash, s.encoding, s.raw_size, s.payload);
+  }
   bool operator==(const CkptChunkData&) const = default;
 };
 
@@ -489,6 +642,10 @@ struct CkptChunkPut {
   AppId app;  // for diagnostics; chunks are content-addressed, not per-app
   std::vector<CkptChunkData> chunks;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.app, s.chunks);
+  }
   bool operator==(const CkptChunkPut&) const = default;
 };
 
@@ -496,6 +653,10 @@ struct CkptPutReply {
   std::int32_t stored = 0;
   std::int32_t rejected = 0;  // failed integrity verification
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.stored, s.rejected);
+  }
   bool operator==(const CkptPutReply&) const = default;
 };
 
@@ -506,6 +667,10 @@ struct CkptManifestInstall {
   CkptManifest manifest;
   std::int64_t prune_below = -1;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.manifest, s.prune_below);
+  }
   bool operator==(const CkptManifestInstall&) const = default;
 };
 
@@ -513,6 +678,10 @@ struct CkptInstallReply {
   bool accepted = false;
   std::string reason;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.accepted, s.reason);
+  }
   bool operator==(const CkptInstallReply&) const = default;
 };
 
@@ -521,12 +690,20 @@ struct CkptInstallReply {
 struct CkptChunkGet {
   std::vector<CkptHash> hashes;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.hashes);
+  }
   bool operator==(const CkptChunkGet&) const = default;
 };
 
 struct CkptChunkGetReply {
   std::vector<CkptChunkData> chunks;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.chunks);
+  }
   bool operator==(const CkptChunkGetReply&) const = default;
 };
 
@@ -537,6 +714,10 @@ struct CkptManifestQuery {
   AppId app;
   std::int32_t rank = 0;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.app, s.rank);
+  }
   bool operator==(const CkptManifestQuery&) const = default;
 };
 
@@ -544,6 +725,10 @@ struct CkptManifestQueryReply {
   bool found = false;
   CkptManifest manifest;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.found, s.manifest);
+  }
   bool operator==(const CkptManifestQueryReply&) const = default;
 };
 
@@ -553,12 +738,20 @@ struct CkptPrune {
   AppId app;
   std::int64_t keep_from = 0;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.app, s.keep_from);
+  }
   bool operator==(const CkptPrune&) const = default;
 };
 
 struct CkptDrop {
   AppId app;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.app);
+  }
   bool operator==(const CkptDrop&) const = default;
 };
 
@@ -575,6 +768,11 @@ struct CkptSaveRequest {
   std::int64_t prune_below = -1;
   orb::ObjectRef notify;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.app, s.rank, s.version, s.epoch, s.image_bytes,
+                    s.repository, s.peers, s.prune_below, s.notify);
+  }
   bool operator==(const CkptSaveRequest&) const = default;
 };
 
@@ -590,6 +788,12 @@ struct CkptSaveDone {
   std::int32_t chunks_deduped = 0;   // already present at every destination
   std::int64_t bytes_shipped = 0;    // payload bytes that crossed the wire
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.app, s.rank, s.version, s.epoch, s.ok, s.image_bytes,
+                    s.chunks_total, s.chunks_shipped, s.chunks_deduped,
+                    s.bytes_shipped);
+  }
   bool operator==(const CkptSaveDone&) const = default;
 };
 
@@ -605,6 +809,11 @@ struct CkptRestoreRequest {
   std::vector<orb::ObjectRef> peers;
   orb::ObjectRef notify;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.app, s.rank, s.version, s.epoch, s.manifest, s.repository,
+                    s.peers, s.notify);
+  }
   bool operator==(const CkptRestoreRequest&) const = default;
 };
 
@@ -619,6 +828,12 @@ struct CkptRestoreDone {
   std::int32_t chunks_from_repository = 0;
   std::int64_t bytes_pulled = 0;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.app, s.rank, s.version, s.epoch, s.ok, s.chunks_local,
+                    s.chunks_from_peers, s.chunks_from_repository,
+                    s.bytes_pulled);
+  }
   bool operator==(const CkptRestoreDone&) const = default;
 };
 
@@ -637,6 +852,10 @@ struct UsageCategory {
   /// cycle (e.g. "weekend" category).
   double weekday_fraction = 0.0;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.centroid, s.weight, s.weekday_fraction);
+  }
   bool operator==(const UsageCategory&) const = default;
 };
 
@@ -645,14 +864,22 @@ struct UsagePatternUpload {
   std::vector<UsageCategory> categories;
   std::int32_t days_observed = 0;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.node, s.categories, s.days_observed);
+  }
   bool operator==(const UsagePatternUpload&) const = default;
 };
 
 struct ForecastRequest {
   NodeId node;
-  SimTime at;            // "now" from the asker's viewpoint
-  SimDuration horizon;   // will the node stay idle this long?
+  SimTime at = 0;           // "now" from the asker's viewpoint
+  SimDuration horizon = 0;  // will the node stay idle this long?
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.node, s.at, s.horizon);
+  }
   bool operator==(const ForecastRequest&) const = default;
 };
 
@@ -662,250 +889,12 @@ struct ForecastReply {
   double p_idle_through = 0.0; // P(owner stays away for the whole horizon)
   SimDuration expected_idle_remaining = 0;
 
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.node, s.known, s.p_idle_through,
+                    s.expected_idle_remaining);
+  }
   bool operator==(const ForecastReply&) const = default;
 };
 
 }  // namespace integrade::protocol
-
-// ---------------------------------------------------------------------------
-// Codecs
-// ---------------------------------------------------------------------------
-namespace integrade::cdr {
-
-template <> struct Codec<protocol::NodeStatus> {
-  static void encode(Writer& w, const protocol::NodeStatus& v);
-  static protocol::NodeStatus decode(Reader& r);
-};
-template <> struct Codec<protocol::NodeStatusBatch> {
-  static void encode(Writer& w, const protocol::NodeStatusBatch& v);
-  static protocol::NodeStatusBatch decode(Reader& r);
-};
-template <> struct Codec<protocol::TaskDescriptor> {
-  static void encode(Writer& w, const protocol::TaskDescriptor& v);
-  static protocol::TaskDescriptor decode(Reader& r);
-};
-template <> struct Codec<protocol::ReservationRequest> {
-  static void encode(Writer& w, const protocol::ReservationRequest& v);
-  static protocol::ReservationRequest decode(Reader& r);
-};
-template <> struct Codec<protocol::ReservationReply> {
-  static void encode(Writer& w, const protocol::ReservationReply& v);
-  static protocol::ReservationReply decode(Reader& r);
-};
-template <> struct Codec<protocol::ExecuteRequest> {
-  static void encode(Writer& w, const protocol::ExecuteRequest& v);
-  static protocol::ExecuteRequest decode(Reader& r);
-};
-template <> struct Codec<protocol::ExecuteReply> {
-  static void encode(Writer& w, const protocol::ExecuteReply& v);
-  static protocol::ExecuteReply decode(Reader& r);
-};
-template <> struct Codec<protocol::TaskReport> {
-  static void encode(Writer& w, const protocol::TaskReport& v);
-  static protocol::TaskReport decode(Reader& r);
-};
-template <> struct Codec<protocol::PreemptRequest> {
-  static void encode(Writer& w, const protocol::PreemptRequest& v);
-  static protocol::PreemptRequest decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptManifestQuery> {
-  static void encode(Writer& w, const protocol::CkptManifestQuery& v);
-  static protocol::CkptManifestQuery decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptManifestQueryReply> {
-  static void encode(Writer& w, const protocol::CkptManifestQueryReply& v);
-  static protocol::CkptManifestQueryReply decode(Reader& r);
-};
-template <> struct Codec<protocol::UsageCategory> {
-  static void encode(Writer& w, const protocol::UsageCategory& v);
-  static protocol::UsageCategory decode(Reader& r);
-};
-template <> struct Codec<protocol::UsagePatternUpload> {
-  static void encode(Writer& w, const protocol::UsagePatternUpload& v);
-  static protocol::UsagePatternUpload decode(Reader& r);
-};
-template <> struct Codec<protocol::ForecastRequest> {
-  static void encode(Writer& w, const protocol::ForecastRequest& v);
-  static protocol::ForecastRequest decode(Reader& r);
-};
-template <> struct Codec<protocol::ForecastReply> {
-  static void encode(Writer& w, const protocol::ForecastReply& v);
-  static protocol::ForecastReply decode(Reader& r);
-};
-template <> struct Codec<protocol::ResourceRequirements> {
-  static void encode(Writer& w, const protocol::ResourceRequirements& v);
-  static protocol::ResourceRequirements decode(Reader& r);
-};
-template <> struct Codec<protocol::TopologyGroup> {
-  static void encode(Writer& w, const protocol::TopologyGroup& v);
-  static protocol::TopologyGroup decode(Reader& r);
-};
-template <> struct Codec<protocol::TopologySpec> {
-  static void encode(Writer& w, const protocol::TopologySpec& v);
-  static protocol::TopologySpec decode(Reader& r);
-};
-template <> struct Codec<protocol::ApplicationSpec> {
-  static void encode(Writer& w, const protocol::ApplicationSpec& v);
-  static protocol::ApplicationSpec decode(Reader& r);
-  /// Pre-economy field set only, no trailing bid extension. Nesting
-  /// contexts (RemoteSubmit, GRM snapshots) use these and append their own
-  /// extension, so the outer frame stays unambiguous to old decoders.
-  static void encode_base(Writer& w, const protocol::ApplicationSpec& v);
-  static protocol::ApplicationSpec decode_base(Reader& r);
-};
-template <> struct Codec<protocol::SubmitReply> {
-  static void encode(Writer& w, const protocol::SubmitReply& v);
-  static protocol::SubmitReply decode(Reader& r);
-};
-template <> struct Codec<protocol::AppEvent> {
-  static void encode(Writer& w, const protocol::AppEvent& v);
-  static protocol::AppEvent decode(Reader& r);
-};
-template <> struct Codec<protocol::BspComputeRequest> {
-  static void encode(Writer& w, const protocol::BspComputeRequest& v);
-  static protocol::BspComputeRequest decode(Reader& r);
-};
-template <> struct Codec<protocol::BspChunkDone> {
-  static void encode(Writer& w, const protocol::BspChunkDone& v);
-  static protocol::BspChunkDone decode(Reader& r);
-};
-template <> struct Codec<protocol::WorkReply> {
-  static void encode(Writer& w, const protocol::WorkReply& v) {
-    w.write_bool(v.has_work);
-    Codec<protocol::TaskDescriptor>::encode(w, v.task);
-  }
-  static protocol::WorkReply decode(Reader& r) {
-    protocol::WorkReply v;
-    v.has_work = r.read_bool();
-    v.task = Codec<protocol::TaskDescriptor>::decode(r);
-    return v;
-  }
-};
-template <> struct Codec<protocol::ClusterSummary> {
-  static void encode(Writer& w, const protocol::ClusterSummary& v);
-  static protocol::ClusterSummary decode(Reader& r);
-};
-template <> struct Codec<protocol::RemoteSubmit> {
-  static void encode(Writer& w, const protocol::RemoteSubmit& v);
-  static protocol::RemoteSubmit decode(Reader& r);
-};
-template <> struct Codec<protocol::RemoteAdopted> {
-  static void encode(Writer& w, const protocol::RemoteAdopted& v);
-  static protocol::RemoteAdopted decode(Reader& r);
-};
-template <> struct Codec<protocol::CancelApp> {
-  static void encode(Writer& w, const protocol::CancelApp& v) {
-    w.write_id(v.app);
-  }
-  static protocol::CancelApp decode(Reader& r) {
-    protocol::CancelApp v;
-    v.app = r.read_id<AppTag>();
-    return v;
-  }
-};
-template <> struct Codec<protocol::TaskResync> {
-  static void encode(Writer& w, const protocol::TaskResync& v);
-  static protocol::TaskResync decode(Reader& r);
-};
-template <> struct Codec<protocol::SnapshotInstall> {
-  static void encode(Writer& w, const protocol::SnapshotInstall& v);
-  static protocol::SnapshotInstall decode(Reader& r);
-};
-template <> struct Codec<protocol::SnapshotInstallReply> {
-  static void encode(Writer& w, const protocol::SnapshotInstallReply& v);
-  static protocol::SnapshotInstallReply decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptChunkRef> {
-  static void encode(Writer& w, const protocol::CkptChunkRef& v);
-  static protocol::CkptChunkRef decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptManifest> {
-  static void encode(Writer& w, const protocol::CkptManifest& v);
-  static protocol::CkptManifest decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptManifestOffer> {
-  static void encode(Writer& w, const protocol::CkptManifestOffer& v);
-  static protocol::CkptManifestOffer decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptChunkNeed> {
-  static void encode(Writer& w, const protocol::CkptChunkNeed& v);
-  static protocol::CkptChunkNeed decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptChunkData> {
-  static void encode(Writer& w, const protocol::CkptChunkData& v);
-  static protocol::CkptChunkData decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptChunkPut> {
-  static void encode(Writer& w, const protocol::CkptChunkPut& v);
-  static protocol::CkptChunkPut decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptPutReply> {
-  static void encode(Writer& w, const protocol::CkptPutReply& v);
-  static protocol::CkptPutReply decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptManifestInstall> {
-  static void encode(Writer& w, const protocol::CkptManifestInstall& v);
-  static protocol::CkptManifestInstall decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptInstallReply> {
-  static void encode(Writer& w, const protocol::CkptInstallReply& v);
-  static protocol::CkptInstallReply decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptChunkGet> {
-  static void encode(Writer& w, const protocol::CkptChunkGet& v);
-  static protocol::CkptChunkGet decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptChunkGetReply> {
-  static void encode(Writer& w, const protocol::CkptChunkGetReply& v);
-  static protocol::CkptChunkGetReply decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptPrune> {
-  static void encode(Writer& w, const protocol::CkptPrune& v) {
-    w.write_id(v.app);
-    w.write_i64(v.keep_from);
-  }
-  static protocol::CkptPrune decode(Reader& r) {
-    protocol::CkptPrune v;
-    v.app = r.read_id<AppTag>();
-    v.keep_from = r.read_i64();
-    return v;
-  }
-};
-template <> struct Codec<protocol::CkptDrop> {
-  static void encode(Writer& w, const protocol::CkptDrop& v) {
-    w.write_id(v.app);
-  }
-  static protocol::CkptDrop decode(Reader& r) {
-    protocol::CkptDrop v;
-    v.app = r.read_id<AppTag>();
-    return v;
-  }
-};
-template <> struct Codec<protocol::CkptSaveRequest> {
-  static void encode(Writer& w, const protocol::CkptSaveRequest& v);
-  static protocol::CkptSaveRequest decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptSaveDone> {
-  static void encode(Writer& w, const protocol::CkptSaveDone& v);
-  static protocol::CkptSaveDone decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptRestoreRequest> {
-  static void encode(Writer& w, const protocol::CkptRestoreRequest& v);
-  static protocol::CkptRestoreRequest decode(Reader& r);
-};
-template <> struct Codec<protocol::CkptRestoreDone> {
-  static void encode(Writer& w, const protocol::CkptRestoreDone& v);
-  static protocol::CkptRestoreDone decode(Reader& r);
-};
-template <> struct Codec<protocol::CancelTask> {
-  static void encode(Writer& w, const protocol::CancelTask& v) {
-    w.write_id(v.task);
-  }
-  static protocol::CancelTask decode(Reader& r) {
-    protocol::CancelTask v;
-    v.task = r.read_id<TaskTag>();
-    return v;
-  }
-};
-
-}  // namespace integrade::cdr

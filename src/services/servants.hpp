@@ -13,9 +13,13 @@
 //            withdraw(OfferIdReply) -> BoolReply
 //            modify(OfferExport w/ id) -> BoolReply
 //            query(OfferQuery) -> OfferQueryReply
+//
+// Each wire struct lists its fields once in `fields()`; the generic
+// cdr::Codec (cdr/cdr.hpp) derives encode and decode from that list.
 #pragma once
 
 #include <memory>
+#include <tuple>
 
 #include "orb/orb.hpp"
 #include "services/naming.hpp"
@@ -29,23 +33,39 @@ namespace integrade::services {
 struct NameBinding {
   std::string path;
   orb::ObjectRef ref;
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.path, s.ref);
+  }
   bool operator==(const NameBinding&) const = default;
 };
 
 struct NameRequest {
   std::string path;
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.path);
+  }
   bool operator==(const NameRequest&) const = default;
 };
 
 struct ResolveReply {
   bool found = false;
   orb::ObjectRef ref;
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.found, s.ref);
+  }
   bool operator==(const ResolveReply&) const = default;
 };
 
 struct BoolReply {
   bool ok = false;
   std::string detail;
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.ok, s.detail);
+  }
   bool operator==(const BoolReply&) const = default;
 };
 
@@ -54,11 +74,19 @@ struct OfferExport {
   std::string service_type;
   orb::ObjectRef provider;
   PropertySet properties;
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.id, s.service_type, s.provider, s.properties);
+  }
   bool operator==(const OfferExport&) const = default;
 };
 
 struct OfferIdReply {
   OfferId id;
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.id);
+  }
   bool operator==(const OfferIdReply&) const = default;
 };
 
@@ -67,6 +95,10 @@ struct OfferQuery {
   std::string constraint;
   std::string preference;
   std::int32_t max_matches = 0;
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.service_type, s.constraint, s.preference, s.max_matches);
+  }
   bool operator==(const OfferQuery&) const = default;
 };
 
@@ -74,6 +106,10 @@ struct OfferDescription {
   OfferId id;
   orb::ObjectRef provider;
   PropertySet properties;
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.id, s.provider, s.properties);
+  }
   bool operator==(const OfferDescription&) const = default;
 };
 
@@ -81,6 +117,10 @@ struct OfferQueryReply {
   bool ok = false;
   std::string error;
   std::vector<OfferDescription> offers;
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.ok, s.error, s.offers);
+  }
   bool operator==(const OfferQueryReply&) const = default;
 };
 
@@ -107,129 +147,3 @@ class TraderServant final : public orb::SkeletonBase {
 };
 
 }  // namespace integrade::services
-
-// ---- codecs ----
-namespace integrade::cdr {
-
-template <> struct Codec<services::NameBinding> {
-  static void encode(Writer& w, const services::NameBinding& v) {
-    w.write_string(v.path);
-    Codec<orb::ObjectRef>::encode(w, v.ref);
-  }
-  static services::NameBinding decode(Reader& r) {
-    services::NameBinding v;
-    v.path = r.read_string();
-    v.ref = Codec<orb::ObjectRef>::decode(r);
-    return v;
-  }
-};
-
-template <> struct Codec<services::NameRequest> {
-  static void encode(Writer& w, const services::NameRequest& v) {
-    w.write_string(v.path);
-  }
-  static services::NameRequest decode(Reader& r) {
-    return services::NameRequest{r.read_string()};
-  }
-};
-
-template <> struct Codec<services::ResolveReply> {
-  static void encode(Writer& w, const services::ResolveReply& v) {
-    w.write_bool(v.found);
-    Codec<orb::ObjectRef>::encode(w, v.ref);
-  }
-  static services::ResolveReply decode(Reader& r) {
-    services::ResolveReply v;
-    v.found = r.read_bool();
-    v.ref = Codec<orb::ObjectRef>::decode(r);
-    return v;
-  }
-};
-
-template <> struct Codec<services::BoolReply> {
-  static void encode(Writer& w, const services::BoolReply& v) {
-    w.write_bool(v.ok);
-    w.write_string(v.detail);
-  }
-  static services::BoolReply decode(Reader& r) {
-    services::BoolReply v;
-    v.ok = r.read_bool();
-    v.detail = r.read_string();
-    return v;
-  }
-};
-
-template <> struct Codec<services::OfferExport> {
-  static void encode(Writer& w, const services::OfferExport& v) {
-    w.write_id(v.id);
-    w.write_string(v.service_type);
-    Codec<orb::ObjectRef>::encode(w, v.provider);
-    Codec<services::PropertySet>::encode(w, v.properties);
-  }
-  static services::OfferExport decode(Reader& r) {
-    services::OfferExport v;
-    v.id = r.read_id<services::OfferTag>();
-    v.service_type = r.read_string();
-    v.provider = Codec<orb::ObjectRef>::decode(r);
-    v.properties = Codec<services::PropertySet>::decode(r);
-    return v;
-  }
-};
-
-template <> struct Codec<services::OfferIdReply> {
-  static void encode(Writer& w, const services::OfferIdReply& v) {
-    w.write_id(v.id);
-  }
-  static services::OfferIdReply decode(Reader& r) {
-    return services::OfferIdReply{r.read_id<services::OfferTag>()};
-  }
-};
-
-template <> struct Codec<services::OfferQuery> {
-  static void encode(Writer& w, const services::OfferQuery& v) {
-    w.write_string(v.service_type);
-    w.write_string(v.constraint);
-    w.write_string(v.preference);
-    w.write_i32(v.max_matches);
-  }
-  static services::OfferQuery decode(Reader& r) {
-    services::OfferQuery v;
-    v.service_type = r.read_string();
-    v.constraint = r.read_string();
-    v.preference = r.read_string();
-    v.max_matches = r.read_i32();
-    return v;
-  }
-};
-
-template <> struct Codec<services::OfferDescription> {
-  static void encode(Writer& w, const services::OfferDescription& v) {
-    w.write_id(v.id);
-    Codec<orb::ObjectRef>::encode(w, v.provider);
-    Codec<services::PropertySet>::encode(w, v.properties);
-  }
-  static services::OfferDescription decode(Reader& r) {
-    services::OfferDescription v;
-    v.id = r.read_id<services::OfferTag>();
-    v.provider = Codec<orb::ObjectRef>::decode(r);
-    v.properties = Codec<services::PropertySet>::decode(r);
-    return v;
-  }
-};
-
-template <> struct Codec<services::OfferQueryReply> {
-  static void encode(Writer& w, const services::OfferQueryReply& v) {
-    w.write_bool(v.ok);
-    w.write_string(v.error);
-    encode_sequence(w, v.offers);
-  }
-  static services::OfferQueryReply decode(Reader& r) {
-    services::OfferQueryReply v;
-    v.ok = r.read_bool();
-    v.error = r.read_string();
-    v.offers = decode_sequence<services::OfferDescription>(r);
-    return v;
-  }
-};
-
-}  // namespace integrade::cdr

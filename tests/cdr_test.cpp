@@ -242,5 +242,32 @@ TEST(ValueTest, CorruptTagDecodesWithoutCrash) {
   }
 }
 
+// `lists` nested one-element lists around a null, written byte by byte so
+// building the frame does not recurse.
+std::vector<std::uint8_t> nested_list_frame(int lists) {
+  Writer w;
+  for (int i = 0; i < lists; ++i) {
+    w.write_u8(static_cast<std::uint8_t>(ValueKind::kList));
+    w.write_u32(1);
+  }
+  w.write_u8(static_cast<std::uint8_t>(ValueKind::kNull));
+  return w.take_buffer();
+}
+
+TEST(ValueTest, DeeplyNestedListFrameFailsInsteadOfExhaustingTheStack) {
+  // 50,000 levels in a 400 KB frame: unbounded recursion overflows an
+  // 8 MiB stack long before the bytes run out.
+  EXPECT_FALSE(decode_message<Value>(nested_list_frame(50000)).is_ok());
+}
+
+TEST(ValueTest, ListNestingDecodesUpToTheDepthCap) {
+  EXPECT_TRUE(decode_message<Value>(nested_list_frame(kMaxValueDepth - 1)).is_ok());
+  EXPECT_FALSE(decode_message<Value>(nested_list_frame(kMaxValueDepth)).is_ok());
+}
+
+TEST(ValueTest, UnknownTagFailsDecode) {
+  EXPECT_FALSE(decode_message<Value>(std::vector<std::uint8_t>{200}).is_ok());
+}
+
 }  // namespace
 }  // namespace integrade::cdr

@@ -418,5 +418,18 @@ TEST(Properties, RoundTripPreservesSchedulingFields) {
   EXPECT_EQ(restored.free_ram, original.free_ram);
 }
 
+TEST(ProtocolHardening, HostileSequenceCountReservesNoMoreThanTheFrame) {
+  // A 64 KiB frame claiming 65,528 NodeStatus elements (~256 B each): the
+  // reserve must be bounded by the frame, not by the claimed count.
+  cdr::Writer w;
+  w.write_u32(65528);
+  std::vector<std::uint8_t> frame = w.take_buffer();
+  frame.resize(64 * 1024);
+  cdr::Reader r(frame);
+  const auto items = cdr::decode_sequence<NodeStatus>(r);
+  EXPECT_FALSE(r.ok());
+  EXPECT_LE(items.capacity() * sizeof(NodeStatus), frame.size());
+}
+
 }  // namespace
 }  // namespace integrade::protocol
